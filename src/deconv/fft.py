@@ -1,19 +1,13 @@
-"""Radix-2 iterative FFT with a direct-summation fallback.
+"""Discrete Fourier transforms of nonempty 1-D arrays, any length.
 
-Forward transform is unnormalised, inverse carries 1/N.  Power-of-two
-lengths take the iterative decimation-in-time path (bit-reversal permutation
-followed by vectorised butterfly stages); other lengths fall back to the
-O(N^2) definition, which is exact for any N and fast enough for the signal
-sizes this package targets.
+``fft`` and ``ifft`` delegate to ``numpy.fft``: the forward transform is
+unnormalised and the inverse carries 1/N.  ``direct_dft`` evaluates the
+definition in O(N^2) and serves only as a reference for the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 def next_pow2(n: int) -> int:
@@ -23,55 +17,29 @@ def next_pow2(n: int) -> int:
     return p
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(x: np.ndarray, sign: float) -> np.ndarray:
-    n = x.size
-    out = x[_bit_reverse_indices(n)].astype(np.complex128)
-    half = 1
-    while half < n:
-        ang = sign * np.pi / half
-        tw = np.exp(1j * ang * np.arange(half))
-        out = out.reshape(-1, 2 * half)
-        lo = out[:, :half]
-        hi = out[:, half:] * tw
-        out = np.concatenate((lo + hi, lo - hi), axis=1)
-        half *= 2
-    return out.ravel()
-
-
 def direct_dft(x: np.ndarray, sign: float = -1.0) -> np.ndarray:
     """O(N^2) transform straight from the definition (any length)."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
     k = np.arange(n)
-    w = np.exp(sign * 2j * np.pi * np.outer(k, k) / n)
+    # reducing k*j mod n in integers keeps each twiddle's phase in [0, 2 pi),
+    # so its rounding does not grow with n
+    w = np.exp(sign * 2j * np.pi * (np.outer(k, k) % n) / n)
     return w @ x
+
+
+def _checked(x: np.ndarray, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"{name} expects a nonempty 1-D array")
+    return x
 
 
 def fft(x: np.ndarray) -> np.ndarray:
     """Unnormalised forward transform."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("fft expects a nonempty 1-D array")
-    if is_pow2(x.size):
-        return _fft_pow2(x, sign=-1.0)
-    return direct_dft(x, sign=-1.0)
+    return np.fft.fft(_checked(x, "fft"))
 
 
 def ifft(x: np.ndarray) -> np.ndarray:
     """Inverse transform with the 1/N factor."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("ifft expects a nonempty 1-D array")
-    if is_pow2(x.size):
-        return _fft_pow2(x, sign=+1.0) / x.size
-    return direct_dft(x, sign=+1.0) / x.size
+    return np.fft.ifft(_checked(x, "ifft"))

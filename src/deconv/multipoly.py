@@ -21,6 +21,7 @@ from typing import Mapping
 
 from .errors import InputError, ParameterError
 from .kernels import Kernel
+from .polynomials import terms_from_json
 
 COEFF_TRIM_REL = 1e-14
 MAX_DIM = 3
@@ -99,9 +100,8 @@ class MultiPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "MultiPolynomial":
-        data = json.loads(text)
-        terms = {tuple(t["alpha"]): float(t["coeff"]) for t in data["terms"]}
-        return cls(int(data["dim"]), terms)
+        dim, terms = terms_from_json(json.loads(text))
+        return cls(dim, dict(terms))
 
 
 def _moment_product(kernel: Kernel, gamma: MultiIndex) -> float:

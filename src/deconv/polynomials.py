@@ -124,14 +124,30 @@ class Polynomial1D:
         if isinstance(data, dict):  # multi-index form with dim 1
             if data.get("dim") != 1:
                 raise InputError("expected a 1-D polynomial")
-            coeffs: dict[int, float] = {}
-            for term in data["terms"]:
-                coeffs[int(term["alpha"][0])] = float(term["coeff"])
+            coeffs = {k: c for (k,), c in terms_from_json(data)[1]}
             arr = np.zeros(max(coeffs) + 1 if coeffs else 1)
             for k, v in coeffs.items():
                 arr[k] = v
             return cls(arr)
         return cls(np.asarray(data, dtype=float))
+
+
+def terms_from_json(data) -> tuple[int, list[tuple[tuple[int, ...], float]]]:
+    """``dim`` and the (alpha, coeff) pairs of a ``{dim, terms}`` JSON object.
+
+    Raises InputError naming the missing or malformed field.
+    """
+    try:
+        dim = int(data["dim"])
+        terms = [(tuple(int(a) for a in t["alpha"]), float(t["coeff"])) for t in data["terms"]]
+    except KeyError as exc:
+        raise InputError(f"polynomial JSON has no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed polynomial JSON: {exc}") from None
+    for alpha, _ in terms:
+        if len(alpha) != dim or min(alpha, default=0) < 0:
+            raise InputError(f"bad multi-index {list(alpha)} for dim {dim}")
+    return dim, terms
 
 
 class ConvOperator:

@@ -189,22 +189,22 @@ def discretize_kernel(kernel: Kernel, epsilon: float, dt: float) -> KernelTaps:
 class TapsConvolver:
     """Reusable zero-pad-and-crop convolution for one (taps, length) pair.
 
-    Precomputes the padded tap transform so that repeated applications (the
-    deconvolution iteration) pay one forward and one inverse transform each.
+    Fewer than DIRECT_CONV_MAX_TAPS taps convolve directly with
+    ``np.convolve``, which keeps short kernels (a 1-tap all-pass filter in
+    particular) exact.  Longer kernels go through the FFT at the next
+    power-of-two length: the padded tap transform is computed once, so each
+    repeated application (the deconvolution iteration) pays one forward and
+    one inverse transform.
     """
 
-    def __init__(self, taps: KernelTaps, n: int, method: str = "auto"):
+    def __init__(self, taps: KernelTaps, n: int):
         if n < 2:
             raise ParameterError("signal length must be at least 2")
         self.taps = taps
         self.n = int(n)
         w = taps.weights
-        if method == "auto":
-            method = "direct" if w.size < DIRECT_CONV_MAX_TAPS else "fft"
-        if method not in ("direct", "fft"):
-            raise ParameterError(f"unknown convolution method {method!r}")
-        self.method = method
-        if method == "fft":
+        self._tap_spectrum = None
+        if w.size >= DIRECT_CONV_MAX_TAPS:
             self._m = _fft.next_pow2(self.n + w.size - 1)
             self._tap_spectrum = _fft.fft(np.concatenate([w, np.zeros(self._m - w.size)]))
 
@@ -212,7 +212,7 @@ class TapsConvolver:
         """Convolve a raw value array (no finiteness validation)."""
         w = self.taps.weights
         h = self.taps.half_width
-        if self.method == "direct":
+        if self._tap_spectrum is None:
             full = np.convolve(values, w)
         else:
             fa = _fft.fft(np.concatenate([values, np.zeros(self._m - self.n)]))
@@ -220,11 +220,11 @@ class TapsConvolver:
         return full[h : h + self.n]
 
 
-def convolve_signal(s: GridSignal, taps: KernelTaps, method: str = "auto") -> GridSignal:
+def convolve_signal(s: GridSignal, taps: KernelTaps) -> GridSignal:
     """Zero-pad, linearly convolve with the taps, crop back to s's window."""
     if taps.dt != s.dt:
         raise ParameterError(f"tap spacing {taps.dt} does not match signal dt {s.dt}")
-    return s.with_values(TapsConvolver(taps, s.n, method=method).apply(s.values))
+    return s.with_values(TapsConvolver(taps, s.n).apply(s.values))
 
 
 def dft(s: GridSignal) -> Spectrum:
@@ -263,6 +263,8 @@ def signal_from_csv(path: str) -> GridSignal:
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise InputError(f"expected two columns (t,value) in {path}, got {row!r}")
             ts.append(float(row[0]))
             vs.append(float(row[1]))
     if len(ts) < 2:

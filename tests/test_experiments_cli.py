@@ -284,6 +284,28 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
 
+    @pytest.mark.parametrize("argv, name, text, field", [
+        (["signal", "dft"], "s.csv", "t,value\n0.0,1.0\n0.5\n", "s.csv"),
+        (["deconv", "run", "--epsilon", "0.3", "--order", "2"],
+         "s.csv", "t,value\n0.0,1.0\n0.5\n", "s.csv"),
+        (["poly", "conv", "--epsilon", "0.8"], "p.json", '{"dim": 2}', "terms"),
+        (["poly", "conv", "--epsilon", "0.8"], "p.json",
+         '{"dim": 2, "terms": [{"alpha": [2, 0]}]}', "coeff"),
+        (["poly", "conv", "--epsilon", "0.8"], "p.json",
+         '{"dim": 1, "terms": [{"alpha": [2]}]}', "coeff"),
+    ], ids=["csv-row-one-column-dft", "csv-row-one-column-deconv", "json-no-terms",
+            "json-term-no-coeff", "json-1d-term-no-coeff"])
+    def test_malformed_input_exit_code_and_json(self, tmp_path, capsys, argv, name,
+                                                 text, field):
+        path = tmp_path / name
+        path.write_text(text)
+        code = cli_main(argv + ["--in", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InputError" and field in err["message"]
+
     def test_usage_error_exit_code_2(self):
         with pytest.raises(SystemExit) as exc:
             cli_main(["poly", "conv", "--no-such-flag"])
