@@ -79,7 +79,8 @@ class DeconvReport:
 
     reconstructed: GridSignal
     residual_norms: np.ndarray          # ||g - T x_m||_2 for m = 0..orders_run
-    spectral_factors: np.ndarray        # 1 - (1 - phi_hat)^(n+1) at the bin frequencies
+    # 1 - (1 - tap transform at the bin frequencies)^(orders_run + 1)
+    spectral_factors: np.ndarray
     orders_run: int
     interior_rel_l2: float | None = None
     warnings: list[str] = field(default_factory=list)
@@ -182,11 +183,15 @@ def inverse_operator(
     residuals = residuals[: orders_run + 1]
 
     rec = g.with_values(x)
-    spec = dft(rec)
     if cfg.kernel.parity == "even":
-        factors = np.asarray(spectral_factor(cfg, spec.frequencies))
+        # the taps' own transform at the bin frequencies; folding the centred
+        # taps onto the N samples keeps it exact when taps outnumber samples
+        h = taps.half_width
+        folded = np.bincount(np.arange(-h, h + 1) % g.n, weights=taps.weights, minlength=g.n)
+        response = dft(g.with_values(folded)).bins.real
+        factors = 1.0 - (1.0 - response) ** (orders_run + 1)
     else:
-        factors = np.full(spec.n, np.nan)  # complex transform, factor undefined
+        factors = np.full(g.n, np.nan)  # complex transform, factor undefined
     err = interior_rel_l2(rec, reference, cfg.edge_margin) if reference is not None else None
     return DeconvReport(
         reconstructed=rec,

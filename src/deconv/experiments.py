@@ -35,15 +35,14 @@ from .kernels import Kernel, make_kernel
 from .polynomials import ConvOperator, Polynomial1D
 from .signals import (
     GridSignal,
-    KernelTaps,
     Spectrum,
     convolve_signal,
     dft,
     discretize_kernel,
     interior_rel_l2,
     sample_function,
-    signal_to_csv,
     spectrum_to_csv,
+    write_columns_csv,
 )
 
 SIN_MIX_ANGULAR_FREQS = (3.0, 5.0)
@@ -119,17 +118,6 @@ def taylor_sin_mix(degree: int) -> Polynomial1D:
 
 # -- output helpers -----------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_columns_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\r\n")
-
-
 def _write_summary(path: str, summary: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
@@ -193,12 +181,12 @@ def run_fig1(spec: ExperimentSpec, out_dir: str) -> dict:
 
     ts = np.linspace(spec.t0, spec.t1, spec.n_samples)
     curves = [p(ts), q(ts), r(ts)]
-    _write_columns_csv(
+    write_columns_csv(
         os.path.join(out_dir, "fig1_curves.csv"),
         ["t", "original", "convolved", "inverted"],
         [ts, *curves],
     )
-    _write_columns_csv(
+    write_columns_csv(
         os.path.join(out_dir, "fig1_error.csv"),
         ["t", "abs_error"],
         [ts, np.abs(curves[2] - curves[0])],
@@ -216,12 +204,12 @@ def run_fig1(spec: ExperimentSpec, out_dir: str) -> dict:
     recon = rep.reconstructed
     abs_err = np.abs(recon.values - sampled.values)
     mask = sampled.interior_mask(spec.edge_margin)
-    _write_columns_csv(
+    write_columns_csv(
         os.path.join(out_dir, "fig1_sampled.csv"),
         ["t", "original", "convolved", "inverted"],
         [sampled.times, sampled.values, smoothed.values, recon.values],
     )
-    _write_columns_csv(
+    write_columns_csv(
         os.path.join(out_dir, "fig1_sampled_error.csv"),
         ["t", "abs_error"],
         [sampled.times, abs_err],
@@ -269,7 +257,7 @@ def run_fig2(spec: ExperimentSpec, out_dir: str) -> dict:
     rep = inverse_operator(cfg, smoothed, reference=f)
     recon = rep.reconstructed
 
-    _write_columns_csv(
+    write_columns_csv(
         os.path.join(out_dir, "fig2_signals.csv"),
         ["t", "original", "convolved", "reconstructed"],
         [f.times, f.values, smoothed.values, recon.values],
@@ -335,7 +323,7 @@ def run_fig3(spec: ExperimentSpec, out_dir: str) -> dict:
     signal_power = float(np.mean(smoothed.values[mask] ** 2))
     snr = signal_power / noise_power if noise_power > 0 else math.inf
 
-    _write_columns_csv(
+    write_columns_csv(
         os.path.join(out_dir, "fig3_signals.csv"),
         ["t", "original", "convolved", "noisy", "reconstructed", "filtered"],
         [f.times, f.values, smoothed.values, noisy.values, recon.values, filtered.values],

@@ -241,16 +241,18 @@ def idft(sp: Spectrum, t0: float) -> GridSignal:
 
 # -- CSV interfaces ----------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def write_columns_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length columns as CSV: every value as ``%.17g``, which
+    round-trips float64 exactly, and CRLF line ends as ``csv.writer`` writes."""
+    fmt = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(fmt % row for row in rows)
 
 
 def signal_to_csv(s: GridSignal, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(s.times, s.values):
-            writer.writerow([_fmt(t), _fmt(v)])
+    write_columns_csv(path, ["t", "value"], [s.times, s.values])
 
 
 def signal_from_csv(path: str) -> GridSignal:
@@ -277,11 +279,10 @@ def signal_from_csv(path: str) -> GridSignal:
 
 
 def spectrum_to_csv(sp: Spectrum, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq", "re", "im", "abs"])
-        for f, b in zip(sp.frequencies, sp.bins):
-            writer.writerow([_fmt(f), _fmt(b.real), _fmt(b.imag), _fmt(abs(b))])
+    # Python's abs(complex), not np.abs: the two differ in the last ulp
+    mags = [abs(b) for b in sp.bins.tolist()]
+    write_columns_csv(path, ["freq", "re", "im", "abs"],
+                      [sp.frequencies, sp.bins.real, sp.bins.imag, mags])
 
 
 def interior_rel_l2(candidate: GridSignal, reference: GridSignal, margin: float) -> float:

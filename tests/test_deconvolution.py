@@ -133,6 +133,52 @@ class TestInverseOperator:
         rep = inverse_operator(cfg, g)
         assert rep.orders_run < 2000
         assert any("auto-stop" in w for w in rep.warnings)
+        # the factors report the orders actually run, not the requested 2000
+        response = tap_response(discretize_kernel(bump, 0.9, g.dt), g.n)
+        np.testing.assert_allclose(
+            rep.spectral_factors, 1.0 - (1.0 - response) ** (rep.orders_run + 1),
+            rtol=1e-12, atol=1e-13)
+
+
+def tap_response(taps, n):
+    """sum_j w_j cos(2 pi k j / n) over the centred taps, bin by bin."""
+    j = np.arange(taps.weights.size) - taps.half_width
+    return np.array([
+        math.fsum(taps.weights * np.cos(2.0 * np.pi * ((k * j) % n) / n))
+        for k in range(n)
+    ])
+
+
+class TestSpectralFactors:
+    def test_taps_fold_when_they_outnumber_samples(self, gaussian, rng):
+        g = GridSignal(0.0, 0.0625, rng.normal(size=64))
+        cfg = DeconvConfig(gaussian, 0.5, 6, admissibility_check=False)
+        taps = discretize_kernel(gaussian, 0.5, g.dt)
+        assert taps.weights.size > 3 * g.n  # 229 taps on 64 samples
+        rep = inverse_operator(cfg, g)
+        expected = 1.0 - (1.0 - tap_response(taps, g.n)) ** 7
+        assert np.abs(rep.spectral_factors - expected).max() < 1e-13
+
+    @pytest.mark.parametrize("family,eps,order,t0,t1,n", [
+        ("bump", 0.9, 25, -2.0, 2.0, 2001),       # fig1's sampled route
+        ("gaussian", 0.55, 90, -6.0, 6.0, 2048),  # fig2
+    ])
+    def test_match_kernel_transform_at_figure_settings(self, family, eps, order,
+                                                       t0, t1, n):
+        from deconv.kernels import make_kernel
+        g = GridSignal(t0, (t1 - t0) / (n - 1), np.zeros(n))
+        cfg = DeconvConfig(make_kernel(family), eps, order, admissibility_check=False)
+        rep = inverse_operator(cfg, g)
+        expected = spectral_factor(cfg, dft(g).frequencies)
+        assert np.abs(rep.spectral_factors - expected).max() < 1e-11
+
+    def test_general_kernel_gives_nan(self):
+        from deconv.kernels import TabulatedKernel
+        x = np.linspace(-3.0, 3.0, 301)
+        kernel = TabulatedKernel(x, np.exp(-(x**2)) * (1 + 0.3 * x), parity="general")
+        g = GridSignal(0.0, 0.05, np.ones(64))
+        cfg = DeconvConfig(kernel, 1.0, 3, admissibility_check=False)
+        assert np.all(np.isnan(inverse_operator(cfg, g).spectral_factors))
 
 
 class TestEquivalenceHighOrder:

@@ -228,6 +228,20 @@ class TestCli:
         r = Polynomial1D.from_json(open(r_path).read())
         assert np.abs(r.padded(4) - p.coeffs).max() < 1e-10
 
+    @pytest.mark.parametrize("action", ["conv", "deconv"])
+    @pytest.mark.parametrize("text,expected", [
+        ("[]", [0.0]),
+        ('{"dim": 2, "terms": []}', {"dim": 2, "terms": []}),
+    ])
+    def test_poly_empty_input_is_zero(self, tmp_path, action, text, expected):
+        # an empty sum is 0: [] reads as the zero polynomial and an empty
+        # {dim, terms} round-trips unchanged; neither is an error
+        in_path, out_path = str(tmp_path / "in.json"), str(tmp_path / "out.json")
+        open(in_path, "w").write(text)
+        assert cli_main(["poly", action, "--family", "gaussian", "--epsilon", "0.8",
+                         "--in", in_path, "--out", out_path]) == 0
+        assert json.loads(open(out_path).read()) == expected
+
     def test_poly_iterate_multi(self, tmp_path):
         mp_path = str(tmp_path / "mp.json")
         out_path = str(tmp_path / "out.json")

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from deconv.signals import (
     DIRECT_CONV_MAX_TAPS,
     GridSignal,
     KernelTaps,
+    Spectrum,
     convolve_signal,
     dft,
     discretize_kernel,
@@ -214,6 +216,35 @@ class TestCsv:
         lines = open(path).read().strip().splitlines()
         assert lines[0] == "freq,re,im,abs"
         assert len(lines) == 9
+
+    EDGE_VALUES = [-0.0, 5e-324, 1e300, 1e16, 0.1, -1.0 / 3.0, 0.0, 2.5]
+
+    @staticmethod
+    def reference_csv(path, header, rows):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([f"{float(x):.17g}" for x in row])
+
+    def test_signal_csv_bytes_match_csv_writer(self, tmp_path, rng):
+        vals = np.r_[self.EDGE_VALUES, rng.normal(size=40)]
+        s = GridSignal(-0.3, 0.1, vals)
+        signal_to_csv(s, str(tmp_path / "s.csv"))
+        self.reference_csv(str(tmp_path / "ref.csv"), ["t", "value"],
+                           zip(s.times, s.values))
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_spectrum_csv_bytes_match_csv_writer(self, tmp_path, rng):
+        bins = np.r_[self.EDGE_VALUES, rng.normal(size=40)].astype(complex)
+        bins.imag = np.r_[self.EDGE_VALUES[::-1], rng.normal(size=40)]
+        # the abs column is Python's abs(complex), which np.abs misses by an ulp here
+        assert np.any(np.abs(bins) != [abs(b) for b in bins.tolist()])
+        sp = Spectrum(df=0.25, bins=bins)
+        spectrum_to_csv(sp, str(tmp_path / "sp.csv"))
+        rows = ((f, b.real, b.imag, abs(b)) for f, b in zip(sp.frequencies, sp.bins))
+        self.reference_csv(str(tmp_path / "ref.csv"), ["freq", "re", "im", "abs"], rows)
+        assert (tmp_path / "sp.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_interior_rel_l2():
