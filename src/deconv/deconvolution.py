@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, ResolutionError
+from .errors import DivergenceError, ParameterError, ResolutionError, check_positive
 from .kernels import Kernel
 from .signals import (
     GridSignal,
@@ -65,8 +65,7 @@ class DeconvConfig:
     auto_stop: bool = False
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
+        check_positive("epsilon", self.epsilon)
         if self.order < 1 or int(self.order) != self.order:
             raise ParameterError(f"order must be a positive integer, got {self.order}")
         if not (0.0 <= self.edge_margin < 0.5):
@@ -87,18 +86,15 @@ class DeconvReport:
     filtered: GridSignal | None = None
     filtered_interior_rel_l2: float | None = None
     spectra: dict[str, Spectrum] = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "orders_run": self.orders_run,
             "residual_norms": [float(r) for r in self.residual_norms],
             "interior_rel_l2": self.interior_rel_l2,
             "filtered_interior_rel_l2": self.filtered_interior_rel_l2,
             "warnings": list(self.warnings),
         }
-        out.update(self.extras)
-        return out
 
 
 def spectral_factor(cfg: DeconvConfig, xi: float | np.ndarray) -> float | np.ndarray:
@@ -231,12 +227,9 @@ def make_sinc_filter(bandwidth: float, dt: float, half_width: float) -> KernelTa
     is why the taps are not renormalised.  Requires >= MIN_TAPS_PER_LOBE
     samples across the main lobe (width 1/B).
     """
-    if not (bandwidth > 0 and math.isfinite(bandwidth)):
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ParameterError(f"dt must be positive, got {dt}")
-    if not (half_width > 0 and math.isfinite(half_width)):
-        raise ParameterError(f"half_width must be positive, got {half_width}")
+    check_positive("bandwidth", bandwidth)
+    check_positive("dt", dt)
+    check_positive("half_width", half_width)
     lobe = 1.0 / bandwidth
     if lobe / dt < MIN_TAPS_PER_LOBE:
         raise ResolutionError(

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one positivity check."""
+
+import math
 
 
 class DeconvError(Exception):
@@ -37,3 +39,9 @@ class DivergenceError(DeconvError):
     def __init__(self, message: str, iteration: int):
         super().__init__(message)
         self.iteration = iteration
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise ParameterError unless ``value`` is a positive finite real."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ParameterError(f"{name} must be a positive finite real, got {value}")

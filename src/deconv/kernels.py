@@ -24,11 +24,11 @@ from __future__ import annotations
 import csv
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, check_positive
 from .quadrature import _GK_NODES as _GK_NODES_ROW
 from .quadrature import _W_KRONROD as _GK_WEIGHTS_ROW
 from .quadrature import integrate
@@ -58,16 +58,7 @@ class AdmissibilityReport:
     underflow_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_value": self.min_value,
-            "max_value": self.max_value,
-            "min_location": self.min_location,
-            "max_location": self.max_location,
-            "first_violation": self.first_violation,
-            "zero_crossings": list(self.zero_crossings),
-            "underflow_count": self.underflow_count,
-        }
+        return asdict(self)
 
 
 class Kernel:
@@ -90,7 +81,7 @@ class Kernel:
 
     def eval(self, epsilon: float, x: float | np.ndarray) -> float | np.ndarray:
         """phi_eps(x) = phi(x / eps) / eps; exactly 0 outside the support."""
-        _check_epsilon(epsilon)
+        check_positive("epsilon", epsilon)
         arr = np.asarray(x, dtype=float)
         out = np.where(
             np.abs(arr) > epsilon * self.support_radius,
@@ -119,6 +110,12 @@ class Kernel:
 
     def _compute_moment(self, m: int) -> float:
         r = self.support_radius
+        try:
+            math.pow(r, m)  # x^m peaks at the support's edge
+        except OverflowError:
+            # a non-finite integrand would exhaust the panel budget instead
+            raise ParameterError(f"moment c_{m} of the {self.family} kernel: its "
+                                 f"integrand x^{m} phi(x) overflows float64") from None
         val, _ = integrate(lambda x: x**m * self.density(x), -r, r,
                            abs_tol=QUAD_ABS_TOL, rel_tol=QUAD_REL_TOL,
                            initial_panels=16)
@@ -126,7 +123,7 @@ class Kernel:
 
     def scaled_moment(self, epsilon: float, m: int) -> float:
         """integral x^m phi_eps(x) dx = c_m eps^m (0 for odd m, even kernels)."""
-        _check_epsilon(epsilon)
+        check_positive("epsilon", epsilon)
         c = self.moment(m)
         if c == 0.0:
             return 0.0
@@ -134,39 +131,20 @@ class Kernel:
 
     # -- Fourier transform ----------------------------------------------------
 
-    def fourier(self, epsilon: float, xi: float) -> float:
-        """phi_eps_hat(xi) = phi_hat(eps * xi) under the 2*pi*i*xi convention."""
-        _check_epsilon(epsilon)
-        return self._fourier_base(epsilon * xi)
-
-    def _fourier_base(self, u: float) -> float:
-        """phi_hat(u) by quadrature of the cosine transform (even kernels)."""
-        if self.parity != "even":
-            raise ParameterError(
-                "numerical Fourier transform is implemented for even kernels only"
-            )
-        r = self.support_radius
-        # one panel per half-oscillation keeps the G-K pair accurate
-        panels = max(16, int(math.ceil(8.0 * abs(u) * r)))
-        panels = min(panels, 4096)
-        val, _ = integrate(
-            lambda x: self.density(x) * np.cos(2.0 * math.pi * u * x),
-            -r, r, abs_tol=QUAD_ABS_TOL, rel_tol=QUAD_REL_TOL,
-            initial_panels=panels, max_panels=max(2 * panels, 4096),
-        )
-        return val
-
     def fourier_grid(self, epsilon: float, xis: np.ndarray) -> np.ndarray:
-        """phi_eps_hat on an array of frequencies.
+        """phi_eps_hat(xi) = phi_hat(eps * xi) on an array of frequencies.
 
-        Even kernels with finite support use one composite Gauss-Kronrod rule
-        shared across all frequencies (a single cosine matrix-vector product);
-        other kernels fall back to per-point evaluation.
+        The cosine transform of an even kernel with finite support, by one
+        composite Gauss-Kronrod rule shared across all frequencies (a single
+        cosine matrix-vector product).
         """
-        _check_epsilon(epsilon)
-        xis = np.asarray(xis, dtype=float)
+        check_positive("epsilon", epsilon)
         if self.parity != "even" or not math.isfinite(self.support_radius):
-            return np.array([self.fourier(epsilon, float(x)) for x in xis])
+            raise ParameterError(
+                "numerical Fourier transform is implemented for even kernels "
+                "with finite support only"
+            )
+        xis = np.asarray(xis, dtype=float)
         r = self.support_radius
         u_max = float(np.max(np.abs(xis))) * epsilon
         panels = int(min(max(32, math.ceil(8.0 * u_max * r)), 3000))
@@ -187,7 +165,7 @@ class Kernel:
         self, epsilon: float, xi_max: float, n_grid: int
     ) -> AdmissibilityReport:
         """Sample phi_eps_hat on [-xi_max, xi_max] and test 0 < value < 2."""
-        _check_epsilon(epsilon)
+        check_positive("epsilon", epsilon)
         if xi_max <= 0:
             raise ParameterError(f"xi_max must be positive, got {xi_max}")
         if n_grid < 3:
@@ -225,7 +203,6 @@ class GaussianKernel(Kernel):
     parity = "even"
     support_radius = 10.0 * math.sqrt(2.0)
     lobe_width = 1.0  # resolution rule: >= 8 taps per eps
-    normalization = 1.0  # defined with unit area built in
 
     _NORM = 1.0 / math.sqrt(4.0 * math.pi)
 
@@ -233,18 +210,10 @@ class GaussianKernel(Kernel):
         x = np.asarray(x, dtype=float)
         return self._NORM * np.exp(-0.25 * x * x)
 
-    def _fourier_base(self, u: float) -> float:
-        return math.exp(-4.0 * math.pi**2 * u * u)
-
     def fourier_grid(self, epsilon: float, xis: np.ndarray) -> np.ndarray:
-        _check_epsilon(epsilon)
+        check_positive("epsilon", epsilon)
         u = epsilon * np.asarray(xis, dtype=float)
         return np.exp(-4.0 * math.pi**2 * u * u)
-
-    def fourier_by_quadrature(self, epsilon: float, xi: float) -> float:
-        """Cosine-transform quadrature path, kept for cross-validation."""
-        _check_epsilon(epsilon)
-        return Kernel._fourier_base(self, epsilon * xi)
 
 
 class BumpKernel(Kernel):
@@ -260,7 +229,6 @@ class BumpKernel(Kernel):
         raw, _ = integrate(self._raw, -1.0, 1.0,
                            abs_tol=1e-14, rel_tol=1e-13, initial_panels=32)
         self._norm = 1.0 / raw
-        self.normalization = raw  # raw integral divided out
 
     @staticmethod
     def _raw(x: np.ndarray) -> np.ndarray:
@@ -303,7 +271,6 @@ class TabulatedKernel(Kernel):
             raise InputError("tabulated kernel has (near-)zero area; cannot normalise")
         self._x = x
         self._v = values / area
-        self.normalization = area
         self.support_radius = float(max(abs(x[0]), abs(x[-1])))
         self.lobe_width = float(x[-1] - x[0])
         self.parity = parity
@@ -349,30 +316,16 @@ class TabulatedKernel(Kernel):
     def _compute_moment(self, m: int) -> float:
         return float(np.trapezoid(self._x**m * self._v, self._x))
 
-    def _fourier_base(self, u: float) -> float:
-        # cosine transform is the full (real) transform only for even kernels
-        if self.parity != "even":
-            raise ParameterError(
-                "the transform of a general tabulated kernel is complex-valued "
-                "and not provided; declare parity='even' for a real transform"
-            )
-        return float(np.trapezoid(self._v * np.cos(2.0 * math.pi * u * self._x), self._x))
-
     def fourier_grid(self, epsilon: float, xis: np.ndarray) -> np.ndarray:
         if self.parity != "even":
             raise ParameterError(
                 "the transform of a general tabulated kernel is complex-valued "
                 "and not provided; declare parity='even' for a real transform"
             )
-        _check_epsilon(epsilon)
+        check_positive("epsilon", epsilon)
         us = epsilon * np.asarray(xis, dtype=float)
         cosm = np.cos(2.0 * math.pi * np.outer(us, self._x))
         return np.trapezoid(cosm * self._v, self._x, axis=1)
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ParameterError(f"epsilon must be a positive finite real, got {epsilon}")
 
 
 _FAMILIES = {

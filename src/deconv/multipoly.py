@@ -9,7 +9,9 @@ product of 1-D moments, so the coefficient update mirrors the 1-D rule:
 Total degree is preserved, degree-0 and degree-1 polynomials are fixed
 points, and the map is invertible.  The inverse is the same alternating
 binomial sum over iterates as in one variable, applied with depth
-floor(total_degree / 2).
+floor(total_degree / 2).  Total degrees are capped at ``MAX_DEGREE``, since
+a product of per-axis binomials is at most a binomial of the total degree;
+a result beyond float64 raises ParameterError.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import math
 from itertools import product
 from typing import Mapping
 
-from .errors import InputError, ParameterError
+import numpy as np
+
+from .errors import InputError, ParameterError, check_positive
 from .kernels import Kernel
-from .polynomials import terms_from_json
+from .polynomials import check_degree, float_powers, terms_from_json
 
 COEFF_TRIM_REL = 1e-14
 MAX_DIM = 3
@@ -125,20 +129,23 @@ def convolve_multipoly(kernel: Kernel, epsilon: float, p: MultiPolynomial) -> Mu
     """Smooth p with the separable product of 1-D copies of ``kernel``."""
     if kernel.parity != "even":
         raise ParameterError("multi-variable smoothing requires an even kernel")
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    check_positive("epsilon", epsilon)
+    top = max((sum(a) for a in p.terms), default=0)
+    check_degree(top)
+    eps_pow = float_powers(epsilon, top)
     out: dict[MultiIndex, float] = {}
-    for alpha, coeff in p.terms.items():
-        ranges = [range(0, a + 1, 2) for a in alpha]  # even componentwise drops
-        for drop in product(*ranges):
-            mom = _moment_product(kernel, drop)
-            if mom == 0.0:
-                continue
-            beta = tuple(a - d for a, d in zip(alpha, drop))
-            binom = math.prod(math.comb(a, d) for a, d in zip(alpha, drop))
-            val = coeff * binom * mom * epsilon ** sum(drop)
-            out[beta] = out.get(beta, 0.0) + val
-    return MultiPolynomial(p.dim, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha, coeff in p.terms.items():
+            ranges = [range(0, a + 1, 2) for a in alpha]  # even componentwise drops
+            for drop in product(*ranges):
+                mom = _moment_product(kernel, drop)
+                if mom == 0.0:
+                    continue
+                beta = tuple(a - d for a, d in zip(alpha, drop))
+                binom = math.prod(math.comb(a, d) for a, d in zip(alpha, drop))
+                val = coeff * binom * mom * eps_pow[sum(drop)]
+                out[beta] = out.get(beta, 0.0) + val
+    return _checked(p.dim, out, "the smoothed polynomial")
 
 
 def invert_multipoly(kernel: Kernel, epsilon: float, q: MultiPolynomial) -> MultiPolynomial:
@@ -151,10 +158,19 @@ def invert_multipoly(kernel: Kernel, epsilon: float, q: MultiPolynomial) -> Mult
     if kernel.parity != "even":
         raise ParameterError("multi-variable inversion requires an even kernel")
     half = q.total_degree() // 2
-    acc = MultiPolynomial(q.dim, {})
+    acc: dict[MultiIndex, float] = {}
     cur = q
     for j in range(half + 1):
-        acc = acc + ((-1) ** j * math.comb(half + 1, j + 1)) * cur
+        w = float((-1) ** j * math.comb(half + 1, j + 1))
+        for alpha, coeff in cur.terms.items():
+            acc[alpha] = acc.get(alpha, 0.0) + coeff * w
         if j < half:
             cur = convolve_multipoly(kernel, epsilon, cur)
-    return acc
+    return _checked(q.dim, acc, "the inverse")
+
+
+def _checked(dim: int, terms: dict[MultiIndex, float], what: str) -> MultiPolynomial:
+    """The operator output as a polynomial; one beyond float64 raises ParameterError."""
+    if not all(map(math.isfinite, terms.values())):
+        raise ParameterError(f"{what} overflows float64")
+    return MultiPolynomial(dim, terms)

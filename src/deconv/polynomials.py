@@ -14,25 +14,29 @@ triangular map.  For non-even kernels the same expansion holds with signs,
 offered.
 
 The inverse is computed by back-substitution against the stored matrix.
-The equivalent alternating sum of iterated convolutions
-``sum_j (-1)^j C(q+1, j+1) T^j`` (``q = floor(n/2)``) is available as
-``method="series"``; it is the form to check identities against at small
-degree, but its intermediates grow like ``(n/2)^(n/2)`` times the input and
-drown the answer in rounding noise for degrees beyond roughly 20.
+It equals the alternating sum of iterated convolutions
+``sum_j (-1)^j C(q+1, j+1) T^j`` (``q = floor(n/2)``), whose intermediates
+grow like ``(n/2)^(n/2)`` times the input and drown the answer in rounding
+noise for degrees beyond roughly 20.
+
+Degrees are capped at ``MAX_DEGREE``; a map or result beyond float64 raises
+ParameterError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, check_positive
 from .kernels import Kernel
 
 DEGREE_TRIM_REL = 1e-14
+# the largest n for which every binomial C(n, k) converts to float64
+MAX_DEGREE = 1029
 
 
 class Polynomial1D:
@@ -79,10 +83,6 @@ class Polynomial1D:
     def is_zero(self) -> bool:
         return bool(np.all(self.coeffs == 0.0))
 
-    def trimmed(self) -> "Polynomial1D":
-        """Copy truncated at degree() (drops sub-threshold trailing noise)."""
-        return Polynomial1D(self.coeffs[: self.degree() + 1])
-
     def padded(self, length: int) -> np.ndarray:
         out = np.zeros(length)
         out[: self.coeffs.size] = self.coeffs
@@ -125,6 +125,7 @@ class Polynomial1D:
             if data.get("dim") != 1:
                 raise InputError("expected a 1-D polynomial")
             coeffs = {k: c for (k,), c in terms_from_json(data)[1]}
+            check_degree(max(coeffs, default=0))
             arr = np.zeros(max(coeffs) + 1 if coeffs else 1)
             for k, v in coeffs.items():
                 arr[k] = v
@@ -142,12 +143,27 @@ def terms_from_json(data) -> tuple[int, list[tuple[tuple[int, ...], float]]]:
         terms = [(tuple(int(a) for a in t["alpha"]), float(t["coeff"])) for t in data["terms"]]
     except KeyError as exc:
         raise InputError(f"polynomial JSON has no {exc} field") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed polynomial JSON: {exc}") from None
     for alpha, _ in terms:
         if len(alpha) != dim or min(alpha, default=0) < 0:
             raise InputError(f"bad multi-index {list(alpha)} for dim {dim}")
     return dim, terms
+
+
+def float_powers(x: float, n: int) -> list[float]:
+    """x^0 .. x^n as floats, inf past float64 (where a Python float power raises)."""
+    with np.errstate(over="ignore"):
+        return [float(np.float64(x) ** k) for k in range(n + 1)]
+
+
+def check_degree(degree: int) -> None:
+    """Raise ParameterError for a degree above MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ParameterError(
+            f"degree {degree} exceeds {MAX_DEGREE}, the largest whose binomial "
+            "coefficients are float64 numbers"
+        )
 
 
 class ConvOperator:
@@ -157,23 +173,33 @@ class ConvOperator:
     ``x^j``; it is built once and shared by all operations, so linearity is
     exact and results are reproducible.  The diagonal is exactly 1.0 (zeroth
     moment pinned to 1), which keeps the two leading input coefficients
-    bit-identical through the map.
+    bit-identical through the map.  A map or result beyond float64 raises
+    ParameterError.
     """
 
     def __init__(self, kernel: Kernel, epsilon: float, max_degree: int):
-        if not (epsilon > 0 and math.isfinite(epsilon)):
-            raise ParameterError(f"epsilon must be positive, got {epsilon}")
+        check_positive("epsilon", epsilon)
         if max_degree < 0 or int(max_degree) != max_degree:
             raise ParameterError(f"max_degree must be a nonnegative integer, got {max_degree}")
+        check_degree(max_degree)
         self.kernel = kernel
         self.epsilon = float(epsilon)
         self.max_degree = int(max_degree)
-        self.matrix = self._build_matrix()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.matrix = self._finite(self._build_matrix(), "the smoothing map")
         self.matrix.setflags(write=False)
+
+    def _finite(self, values: np.ndarray, what: str) -> np.ndarray:
+        if not np.all(np.isfinite(values)):
+            raise ParameterError(
+                f"{what} at degree {self.max_degree} and epsilon {self.epsilon} "
+                "overflows float64"
+            )
+        return values
 
     def _build_matrix(self) -> np.ndarray:
         n = self.max_degree
-        eps = self.epsilon
+        eps_pow = float_powers(self.epsilon, n)
         even_only = self.kernel.parity == "even"
         M = np.zeros((n + 1, n + 1))
         np.fill_diagonal(M, 1.0)
@@ -183,7 +209,7 @@ class ConvOperator:
                 c = self.kernel.moment(k)
                 if c == 0.0:
                     continue
-                term = math.comb(j, k) * c * eps**k
+                term = math.comb(j, k) * c * eps_pow[k]
                 if not even_only and k % 2 == 1:
                     term = -term
                 M[j - k, j] = term
@@ -200,8 +226,9 @@ class ConvOperator:
         """
         d = self._check_degree(p)
         a = p.padded(self.max_degree + 1)
-        out = self.matrix @ a
-        return Polynomial1D(out[: d + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.matrix @ a
+        return Polynomial1D(self._finite(out[: d + 1], "the result"))
 
     def iterate(self, p: Polynomial1D, k: int) -> Polynomial1D:
         """k-fold application (k = 0 returns p)."""
@@ -209,9 +236,10 @@ class ConvOperator:
             raise ParameterError(f"iteration count must be a nonnegative integer, got {k}")
         d = self._check_degree(p)
         a = p.padded(self.max_degree + 1)
-        for _ in range(int(k)):
-            a = self.matrix @ a
-        return Polynomial1D(a[: d + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(int(k)):
+                a = self.matrix @ a
+        return Polynomial1D(self._finite(a[: d + 1], "the result"))
 
     def side_polynomial(self, p: Polynomial1D, j: int) -> Polynomial1D:
         """j-th degree-dropping remainder: sum_k (-1)^k C(j, k) T^(j-k) p.
@@ -229,22 +257,21 @@ class ConvOperator:
         d = self._check_degree(p)
         a = p.padded(self.max_degree + 1)
         powers = [a]
-        for _ in range(int(j)):
-            powers.append(self.matrix @ powers[-1])
         acc = np.zeros_like(a)
-        for k in range(int(j) + 1):
-            acc += ((-1) ** k * math.comb(int(j), k)) * powers[int(j) - k]
-        return Polynomial1D(acc[: d + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(int(j)):
+                powers.append(self.matrix @ powers[-1])
+            for k in range(int(j) + 1):
+                acc += ((-1) ** k * math.comb(int(j), k)) * powers[int(j) - k]
+        return Polynomial1D(self._finite(acc[: d + 1], "the result"))
 
     # -- inverse -------------------------------------------------------------
 
-    def invert(self, q: Polynomial1D, method: str = "solve") -> Polynomial1D:
+    def invert(self, q: Polynomial1D) -> Polynomial1D:
         """Preimage of q: the unique p with convolve(p) = q.
 
-        ``method="solve"`` back-substitutes the unit-triangular system
-        (backward stable, no iterated convolutions).  ``method="series"``
-        evaluates the alternating binomial sum of iterated convolutions with
-        floor(deg/2) applications; both agree exactly in exact arithmetic.
+        Back-substitutes the unit-triangular system (backward stable, no
+        iterated convolutions).
         """
         if self.kernel.parity != "even":
             raise ParameterError(
@@ -252,23 +279,12 @@ class ConvOperator:
                 "an automorphism when odd moments vanish"
             )
         d = self._check_degree(q)
-        if method == "solve":
-            b = q.padded(self.max_degree + 1)
-            r = b.copy()
+        b = q.padded(self.max_degree + 1)
+        r = b.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
             for i in range(d, -1, -1):
                 r[i] = b[i] - self.matrix[i, i + 1 : d + 1] @ r[i + 1 : d + 1]
-            return Polynomial1D(r[: d + 1])
-        if method == "series":
-            half = d // 2
-            a = q.padded(self.max_degree + 1)
-            acc = np.zeros_like(a)
-            cur = a
-            for j in range(half + 1):
-                acc += ((-1) ** j * math.comb(half + 1, j + 1)) * cur
-                if j < half:
-                    cur = self.matrix @ cur
-            return Polynomial1D(acc[: d + 1])
-        raise ParameterError(f"unknown inversion method {method!r}")
+        return Polynomial1D(self._finite(r[: d + 1], "the result"))
 
     def _check_degree(self, p: Polynomial1D) -> int:
         """Effective length-based degree: the full stored vector participates."""
@@ -279,18 +295,3 @@ class ConvOperator:
             )
         return d
 
-
-def coefficients_close(
-    a: Polynomial1D | Sequence[float],
-    b: Polynomial1D | Sequence[float],
-    rel_tol: float,
-    scale: float | None = None,
-) -> bool:
-    """Compare coefficient vectors of possibly different lengths."""
-    av = a.coeffs if isinstance(a, Polynomial1D) else np.asarray(a, dtype=float)
-    bv = b.coeffs if isinstance(b, Polynomial1D) else np.asarray(b, dtype=float)
-    n = max(av.size, bv.size)
-    pa = np.zeros(n); pa[: av.size] = av
-    pb = np.zeros(n); pb[: bv.size] = bv
-    denom = scale if scale is not None else max(np.abs(pa).max(), np.abs(pb).max(), 1e-300)
-    return bool(np.abs(pa - pb).max() <= rel_tol * denom)

@@ -55,8 +55,9 @@ def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     gauss = half * float(_W_GAUSS @ y)
     kronrod = half * float(_W_KRONROD @ y)
     err = abs(kronrod - gauss)
-    # The classical sharper estimate; keeps smooth panels from being split forever.
-    err = min(err, (200.0 * err) ** 1.5) if err > 0 else err
+    # The classical sharper estimate; keeps smooth panels from being split
+    # forever.  It is the smaller one only below 1, and overflows far above.
+    err = min(err, (200.0 * err) ** 1.5) if 0 < err < 1 else err
     return kronrod, err
 
 
@@ -101,25 +102,3 @@ def integrate(
             val, err = _panel(f, *seg)
             panels.append((err, seg[0], seg[1], val))
 
-
-def integrate_2d(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    ax: float,
-    bx: float,
-    ay: float,
-    by: float,
-    tol: float = 1e-9,
-) -> float:
-    """Iterated 1-D quadrature of f(x, y) over a rectangle.
-
-    ``f`` must be vectorised in its second argument.  Used as an independent
-    oracle for separable-kernel checks; not tuned for speed.
-    """
-    def outer(xs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(xs, dtype=float)
-        for i, x in enumerate(xs):
-            out[i] = integrate(lambda y: f(float(x), y), ay, by,
-                               abs_tol=tol, rel_tol=tol)[0]
-        return out
-
-    return integrate(outer, ax, bx, abs_tol=tol, rel_tol=tol)[0]

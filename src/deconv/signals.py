@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import fft as _fft
-from .errors import InputError, ParameterError, ResolutionError
+from .errors import InputError, ParameterError, ResolutionError, check_positive
 from .kernels import Kernel
 
 DIRECT_CONV_MAX_TAPS = 64  # direct convolution below, FFT at or above
@@ -164,10 +164,8 @@ def discretize_kernel(kernel: Kernel, epsilon: float, dt: float) -> KernelTaps:
     Requires at least MIN_TAPS_PER_LOBE samples across the kernel's central
     lobe.
     """
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ParameterError(f"dt must be positive, got {dt}")
+    check_positive("epsilon", epsilon)
+    check_positive("dt", dt)
     lobe = epsilon * kernel.lobe_width
     if lobe / dt < MIN_TAPS_PER_LOBE:
         raise ResolutionError(
@@ -192,9 +190,11 @@ class TapsConvolver:
     Fewer than DIRECT_CONV_MAX_TAPS taps convolve directly with
     ``np.convolve``, which keeps short kernels (a 1-tap all-pass filter in
     particular) exact.  Longer kernels go through the FFT at the next
-    power-of-two length: the padded tap transform is computed once, so each
-    repeated application (the deconvolution iteration) pays one forward and
-    one inverse transform.
+    power-of-two length: the padded tap transform and two work buffers of
+    that length are made once, so each repeated application (the
+    deconvolution iteration) pays one forward and one inverse transform and
+    allocates only its N-sample result.  An instance is not safe to share
+    between threads.
     """
 
     def __init__(self, taps: KernelTaps, n: int):
@@ -207,6 +207,8 @@ class TapsConvolver:
         if w.size >= DIRECT_CONV_MAX_TAPS:
             self._m = _fft.next_pow2(self.n + w.size - 1)
             self._tap_spectrum = _fft.fft(np.concatenate([w, np.zeros(self._m - w.size)]))
+            self._padded = np.zeros(self._m, dtype=complex)  # the values, then zeros
+            self._work = np.empty(self._m, dtype=complex)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Convolve a raw value array (no finiteness validation)."""
@@ -215,9 +217,11 @@ class TapsConvolver:
         if self._tap_spectrum is None:
             full = np.convolve(values, w)
         else:
-            fa = _fft.fft(np.concatenate([values, np.zeros(self._m - self.n)]))
-            full = _fft.ifft(fa * self._tap_spectrum).real[: self.n + w.size - 1]
-        return full[h : h + self.n]
+            self._padded[: self.n] = values
+            fa = _fft.fft(self._padded, out=self._work)
+            fa *= self._tap_spectrum
+            full = _fft.ifft(fa, out=fa).real
+        return full[h : h + self.n].copy()
 
 
 def convolve_signal(s: GridSignal, taps: KernelTaps) -> GridSignal:
@@ -257,18 +261,24 @@ def signal_to_csv(s: GridSignal, path: str) -> None:
 
 def signal_from_csv(path: str) -> GridSignal:
     ts, vs = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["t", "value"]:
-            raise InputError(f"{path}: expected header 't,value'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 2:
-                raise InputError(f"expected two columns (t,value) in {path}, got {row!r}")
-            ts.append(float(row[0]))
-            vs.append(float(row[1]))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip().lower() for c in header[:2]] != ["t", "value"]:
+                raise InputError(f"{path}: expected header 't,value'")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < 2:
+                    raise InputError(f"expected two columns (t,value) in {path}, got {row!r}")
+                try:
+                    ts.append(float(row[0]))
+                    vs.append(float(row[1]))
+                except ValueError:
+                    raise InputError(f"non-numeric row in {path}: {row!r}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     if len(ts) < 2:
         raise InputError(f"{path}: need at least 2 samples")
     t = np.asarray(ts)

@@ -298,27 +298,62 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
 
-    @pytest.mark.parametrize("argv, name, text, field", [
-        (["signal", "dft"], "s.csv", "t,value\n0.0,1.0\n0.5\n", "s.csv"),
+    @pytest.mark.parametrize("argv, name, text, error, field", [
+        (["signal", "dft"], "s.csv", "t,value\n0.0,1.0\n0.5\n", "InputError", "s.csv"),
         (["deconv", "run", "--epsilon", "0.3", "--order", "2"],
-         "s.csv", "t,value\n0.0,1.0\n0.5\n", "s.csv"),
-        (["poly", "conv", "--epsilon", "0.8"], "p.json", '{"dim": 2}', "terms"),
+         "s.csv", "t,value\n0.0,1.0\n0.5\n", "InputError", "s.csv"),
+        (["poly", "conv", "--epsilon", "0.8"], "p.json", '{"dim": 2}', "InputError", "terms"),
         (["poly", "conv", "--epsilon", "0.8"], "p.json",
-         '{"dim": 2, "terms": [{"alpha": [2, 0]}]}', "coeff"),
+         '{"dim": 2, "terms": [{"alpha": [2, 0]}]}', "InputError", "coeff"),
         (["poly", "conv", "--epsilon", "0.8"], "p.json",
-         '{"dim": 1, "terms": [{"alpha": [2]}]}', "coeff"),
+         '{"dim": 1, "terms": [{"alpha": [2]}]}', "InputError", "coeff"),
+        (["poly", "conv", "--epsilon", "0.8"], "p.json",
+         '{"dim": 2, "terms": [{"alpha": [1e400, 0], "coeff": 1}]}',
+         "InputError", "polynomial JSON"),
+        (["poly", "conv", "--epsilon", "0.8"], "p.json",
+         '{"dim": 1, "terms": [{"alpha": [100000000], "coeff": 1}]}',
+         "ParameterError", "100000000"),
+        (["poly", "conv", "--family", "bump", "--epsilon", "0.01"], "p.json",
+         json.dumps([0.0] * 1030 + [1.0]), "ParameterError", "1030"),
+        (["poly", "deconv", "--epsilon", "0.8"], "p.json",
+         '{"dim": 2, "terms": [{"alpha": [515, 515], "coeff": 1}]}',
+         "ParameterError", "1030"),
+        (["signal", "dft"], "s.csv", "t,value\n0.0,1.0\n0.1,abc\n", "InputError", "s.csv"),
+        (["signal", "dft"], "s.csv", b"t,value\n0.0,1.0\n0.1,\xff\n", "InputError", "s.csv"),
     ], ids=["csv-row-one-column-dft", "csv-row-one-column-deconv", "json-no-terms",
-            "json-term-no-coeff", "json-1d-term-no-coeff"])
+            "json-term-no-coeff", "json-1d-term-no-coeff", "json-alpha-overflows-int",
+            "json-1d-degree-1e8", "degree-1030", "json-2d-total-degree-1030",
+            "csv-non-numeric-value", "csv-not-utf8"])
     def test_malformed_input_exit_code_and_json(self, tmp_path, capsys, argv, name,
-                                                 text, field):
+                                                 text, error, field):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code = cli_main(argv + ["--in", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
-        assert err["error"] == "InputError" and field in err["message"]
+        assert err["error"] == error and field in err["message"]
+
+    # a numpy RuntimeWarning would be one more stderr line; here it fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, poly", [
+        (["poly", "deconv", "--family", "bump", "--epsilon", "0.5"], [0.0] * 300 + [1.0]),
+        (["poly", "deconv", "--family", "gaussian", "--epsilon", "0.5"], [0.0] * 300 + [1.0]),
+        (["poly", "conv", "--family", "bump", "--epsilon", "100"], [0.0] * 300 + [1.0]),
+        (["poly", "deconv", "--epsilon", "0.8"],
+         {"dim": 2, "terms": [{"alpha": [200, 200], "coeff": 1}]}),
+    ], ids=["bump-inverse", "gaussian-moment", "bump-map", "2d-smoothed"])
+    def test_float64_overflow_is_one_parameter_error(self, tmp_path, capsys, argv, poly):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(poly))
+        assert cli_main(argv + ["--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ParameterError" and "overflows float64" in err["message"]
 
     def test_usage_error_exit_code_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from deconv.fft import direct_dft, fft, ifft, next_pow2
+from deconv.fft import fft, ifft, next_pow2
+from oracles import direct_dft
 
 
 def test_pow2_helpers():

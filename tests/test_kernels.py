@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from deconv.deconvolution import DeconvConfig, make_sinc_filter
 from deconv.errors import InputError, ParameterError
-from deconv.kernels import TabulatedKernel, make_kernel
+from deconv.kernels import BumpKernel, GaussianKernel, Kernel, TabulatedKernel, make_kernel
+from deconv.multipoly import MultiPolynomial, convolve_multipoly
+from deconv.polynomials import ConvOperator
+from deconv.signals import discretize_kernel
+from oracles import cosine_transform
 
 
 def gaussian_moment_closed(m: int) -> float:
@@ -88,31 +93,47 @@ class TestMoments:
             gaussian.moment(-1)
 
 
+def fourier(kernel, epsilon, xi):
+    return float(kernel.fourier_grid(epsilon, np.array([xi]))[0])
+
+
 class TestFourier:
     def test_unit_at_zero(self, gaussian, bump):
-        assert abs(gaussian.fourier(1.0, 0.0) - 1.0) < 1e-12
-        assert abs(bump.fourier(0.9, 0.0) - 1.0) < 1e-10
+        assert abs(fourier(gaussian, 1.0, 0.0) - 1.0) < 1e-12
+        assert abs(fourier(bump, 0.9, 0.0) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("xi", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     def test_gaussian_closed_vs_quadrature(self, gaussian, xi):
-        closed = gaussian.fourier(1.0, xi)
-        quad = gaussian.fourier_by_quadrature(1.0, xi)
+        closed = fourier(gaussian, 1.0, xi)
+        quad = cosine_transform(gaussian, 1.0, xi)
         assert abs(closed - quad) < 1e-8
 
     def test_gaussian_known_value(self, gaussian):
         expect = math.exp(-4 * math.pi**2 * 0.3025)
-        assert abs(gaussian.fourier(0.55, 1.0) - expect) < 1e-12 * expect
+        assert abs(fourier(gaussian, 0.55, 1.0) - expect) < 1e-12 * expect
 
     @pytest.mark.parametrize("xi", [0.3, 1.7, 4.0])
     def test_dilation_law(self, gaussian, bump, xi):
         for k, eps in ((gaussian, 0.7), (bump, 0.9)):
-            assert abs(k.fourier(eps, xi) - k.fourier(1.0, eps * xi)) < 1e-12
+            assert abs(fourier(k, eps, xi) - fourier(k, 1.0, eps * xi)) < 1e-12
 
     def test_fourier_grid_matches_pointwise(self, bump):
         xis = np.linspace(-3, 3, 41)
         grid = bump.fourier_grid(0.9, xis)
-        point = np.array([bump.fourier(0.9, float(x)) for x in xis])
+        point = np.array([cosine_transform(bump, 0.9, float(x)) for x in xis])
         assert np.abs(grid - point).max() < 1e-9
+
+    def test_non_even_kernel_has_no_transform(self):
+        class Skewed(Kernel):
+            parity = "general"
+            support_radius = 1.0
+
+            def density(self, x):
+                x = np.asarray(x, dtype=float)
+                return np.where(np.abs(x) < 1.0, 0.75 * (1.0 + x) ** 2, 0.0)
+
+        with pytest.raises(ParameterError):
+            Skewed().fourier_grid(1.0, np.linspace(-1.0, 1.0, 5))
 
 
 class TestAdmissibility:
@@ -181,3 +202,36 @@ class TestTabulated:
 def test_make_kernel_unknown_family():
     with pytest.raises(ParameterError):
         make_kernel("boxcar")
+
+
+_GAUSS = GaussianKernel()
+_BUMP = BumpKernel()
+_X = np.linspace(-1.0, 1.0, 101)
+_TABULATED = TabulatedKernel(_X, np.exp(-_X**2), parity="even")
+
+# every entry point that validates a positive finite real, with the value
+# under test in that argument
+POSITIVE_ARGUMENTS = {
+    "eval-epsilon": lambda v: _GAUSS.eval(v, 0.0),
+    "scaled_moment-epsilon": lambda v: _GAUSS.scaled_moment(v, 2),
+    "fourier_grid-epsilon": lambda v: _BUMP.fourier_grid(v, np.zeros(3)),
+    "gaussian-fourier_grid-epsilon": lambda v: _GAUSS.fourier_grid(v, np.zeros(3)),
+    "tabulated-fourier_grid-epsilon": lambda v: _TABULATED.fourier_grid(v, np.zeros(3)),
+    "check_admissible-epsilon": lambda v: _GAUSS.check_admissible(v, 5.0, 11),
+    "ConvOperator-epsilon": lambda v: ConvOperator(_GAUSS, v, 4),
+    "convolve_multipoly-epsilon": lambda v: convolve_multipoly(
+        _GAUSS, v, MultiPolynomial(2, {(2, 0): 1.0})),
+    "discretize_kernel-epsilon": lambda v: discretize_kernel(_GAUSS, v, 0.01),
+    "discretize_kernel-dt": lambda v: discretize_kernel(_GAUSS, 0.5, v),
+    "DeconvConfig-epsilon": lambda v: DeconvConfig(_GAUSS, v, 3),
+    "make_sinc_filter-bandwidth": lambda v: make_sinc_filter(v, 0.01, 8.0),
+    "make_sinc_filter-dt": lambda v: make_sinc_filter(1.0, v, 8.0),
+    "make_sinc_filter-half_width": lambda v: make_sinc_filter(1.0, 0.01, v),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(POSITIVE_ARGUMENTS))
+def test_non_positive_or_non_finite_argument_is_a_parameter_error(entry, value):
+    with pytest.raises(ParameterError):
+        POSITIVE_ARGUMENTS[entry](value)

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from deconv.errors import InputError, ParameterError
 from deconv.kernels import TabulatedKernel
-from deconv.polynomials import ConvOperator, Polynomial1D, coefficients_close
+from deconv.polynomials import MAX_DEGREE, ConvOperator, Polynomial1D
 from deconv.quadrature import integrate
+from oracles import coefficients_close, series_inverse
 
 
 def smoothed_values_oracle(kernel, epsilon, poly, xs):
@@ -93,6 +94,13 @@ class TestConvolve:
         op = ConvOperator(gaussian, 1.0, 3)
         with pytest.raises(ParameterError):
             op.convolve(Polynomial1D([0, 0, 0, 0, 1.0]))
+
+    def test_max_degree_is_the_float64_binomial_limit(self, gaussian):
+        assert math.isfinite(float(math.comb(MAX_DEGREE, MAX_DEGREE // 2)))
+        with pytest.raises(OverflowError):
+            float(math.comb(MAX_DEGREE + 1, (MAX_DEGREE + 1) // 2))
+        with pytest.raises(ParameterError):
+            ConvOperator(gaussian, 0.5, MAX_DEGREE + 1)
 
     def test_degree_and_top_two_coefficients_preserved(self, gaussian, rng):
         op = ConvOperator(gaussian, 0.9, 12)
@@ -248,8 +256,7 @@ class TestInvert:
         for kernel, eps in ((gaussian, 0.9), (bump, 0.9)):
             op = ConvOperator(kernel, eps, 10)
             q = Polynomial1D(rng.uniform(-1, 1, 11))
-            assert coefficients_close(
-                op.invert(q, method="solve"), op.invert(q, method="series"), 1e-10)
+            assert coefficients_close(op.invert(q), series_inverse(op, q), 1e-10)
 
     def test_roundtrip_gaussian_to_degree_50(self, gaussian, rng):
         # relative to max(|p|, |T p|): the smoothed coefficients grow by up

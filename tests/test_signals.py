@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deconv.errors import InputError, ParameterError, ResolutionError
-from deconv.fft import direct_dft
 from deconv.signals import (
     DIRECT_CONV_MAX_TAPS,
     GridSignal,
     KernelTaps,
     Spectrum,
+    TapsConvolver,
     convolve_signal,
     dft,
     discretize_kernel,
@@ -22,6 +22,7 @@ from deconv.signals import (
     signal_to_csv,
     spectrum_to_csv,
 )
+from oracles import direct_dft
 
 
 class TestGridSignal:
@@ -114,6 +115,18 @@ class TestConvolveSignal:
             h = taps.half_width
             expect = np.convolve(s.values, taps.weights)[h : h + s.n]
             assert np.abs(convolve_signal(s, taps).values - expect).max() < 1e-10
+
+    def test_reused_convolver_gives_independent_results(self, rng):
+        # the FFT path keeps its work buffers between calls; each result must
+        # still match the oracle and survive the next call
+        taps = KernelTaps(rng.normal(size=2 * DIRECT_CONV_MAX_TAPS + 1), 0.01)
+        h = taps.half_width
+        conv = TapsConvolver(taps, 500)
+        xs = [rng.normal(size=500) for _ in range(3)]
+        outs = [conv.apply(x) for x in xs]
+        for x, out in zip(xs, outs):
+            expect = np.convolve(x, taps.weights)[h : h + 500]
+            assert np.abs(out - expect).max() < 1e-10
 
     def test_dt_mismatch(self, gaussian):
         s = GridSignal(0.0, 0.01, np.zeros(64))
