@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .deconvolution import DeconvConfig, inverse_operator, spectral_factor
-from .errors import DeconvError
+from .errors import DeconvError, InputError
 from .experiments import ExperimentSpec, run_experiment
 from .kernels import Kernel, make_kernel
 from .multipoly import MultiPolynomial, convolve_multipoly, invert_multipoly
@@ -52,8 +52,11 @@ def _kernel_from_args(args: argparse.Namespace) -> Kernel:
 
 
 def _load_poly(path: str) -> Polynomial1D | MultiPolynomial:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     data = json.loads(text)
     if isinstance(data, dict) and data.get("dim", 1) != 1:
         return MultiPolynomial.from_json(text)

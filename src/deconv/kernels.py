@@ -260,10 +260,10 @@ class TabulatedKernel(Kernel):
         values = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.shape != values.shape or x.size < 3:
             raise InputError("tabulated kernel needs matching 1-D x/value arrays, >= 3 points")
-        if not np.all(np.diff(x) > 0):
-            raise InputError("tabulated kernel grid must be strictly increasing")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(values))):
             raise InputError("tabulated kernel contains non-finite entries")
+        if not np.all(x[1:] > x[:-1]):
+            raise InputError("tabulated kernel grid must be strictly increasing")
         if parity not in ("even", "general"):
             raise ParameterError(f"parity must be 'even' or 'general', got {parity!r}")
         area = float(np.trapezoid(values, x))
@@ -290,23 +290,27 @@ class TabulatedKernel(Kernel):
         """Load a two-column (x, value) CSV; '.' decimal separator, UTF-8."""
         xs, vs = [], []
         first_data_row = True
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().startswith("#"):
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+        for row in rows:
+            if not row or row[0].strip().startswith("#"):
+                continue
+            if len(row) < 2:
+                raise InputError(f"expected two columns in {path}, got {row!r}")
+            try:
+                x = float(row[0])
+                v = float(row[1])
+            except ValueError:
+                if first_data_row:  # tolerate a single header line
+                    first_data_row = False
                     continue
-                if len(row) < 2:
-                    raise InputError(f"expected two columns in {path}, got {row!r}")
-                try:
-                    x = float(row[0])
-                    v = float(row[1])
-                except ValueError:
-                    if first_data_row:  # tolerate a single header line
-                        first_data_row = False
-                        continue
-                    raise InputError(f"non-numeric row in {path}: {row!r}")
-                first_data_row = False
-                xs.append(x)
-                vs.append(v)
+                raise InputError(f"non-numeric row in {path}: {row!r}")
+            first_data_row = False
+            xs.append(x)
+            vs.append(v)
         return cls(np.array(xs), np.array(vs), parity=parity)
 
     def density(self, x: np.ndarray) -> np.ndarray:

@@ -1,17 +1,19 @@
 """Polynomials in up to three variables under separable smoothing.
 
-For a separable even product kernel the moment of a multi-index is the
-product of 1-D moments, so the coefficient update mirrors the 1-D rule:
+A separable even product kernel smooths each variable on its own, so the
+map is the tensor product of the 1-D matrix ``M`` of ``ConvOperator``:
 
-    (p * phi_eps)(x) = sum_a sum_{b <= a, a-b componentwise even}
-                       C(a, b) coeff_a x^b eps^|a-b| prod_i c_(a-b)_i
+    x^a  ->  sum over componentwise even drops d <= a of
+             prod_i M[a_i - d_i][a_i] x^(a - d)
 
-Total degree is preserved, degree-0 and degree-1 polynomials are fixed
-points, and the map is invertible.  The inverse is the same alternating
-binomial sum over iterates as in one variable, applied with depth
-floor(total_degree / 2).  Total degrees are capped at ``MAX_DEGREE``, since
-a product of per-axis binomials is at most a binomial of the total degree;
-a result beyond float64 raises ParameterError.
+It keeps the total degree and fixes affine polynomials; ``T - I`` lowers the
+total degree by two, so it is nilpotent.  The inverse is the fixed-point
+recursion ``x <- x + (q - T x)`` from ``x = q``, run top // 2 times for the
+largest total degree ``top`` of any term, after which ``T x = q`` exactly.
+It equals the alternating binomial sum of iterates, which cancels
+catastrophically in float64.  ``ConvOperator`` checks epsilon, caps the
+total degree at ``MAX_DEGREE`` and rejects a map beyond float64; a result
+beyond float64 raises ParameterError here.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ import math
 from itertools import product
 from typing import Mapping
 
-import numpy as np
-
-from .errors import InputError, ParameterError, check_positive
+from .errors import InputError, ParameterError
 from .kernels import Kernel
-from .polynomials import check_degree, float_powers, terms_from_json
+from .polynomials import ConvOperator, terms_from_json
 
 COEFF_TRIM_REL = 1e-14
 MAX_DIM = 3
@@ -108,65 +108,43 @@ class MultiPolynomial:
         return cls(dim, dict(terms))
 
 
-def _moment_product(kernel: Kernel, gamma: MultiIndex) -> float:
-    """Moment of a separable product kernel at multi-index gamma.
+def _axis_map(kernel: Kernel, epsilon: float, p: MultiPolynomial, what: str):
+    """The 1-D smoothing matrix as lists up to p's largest total degree, and that degree."""
+    if kernel.parity != "even":
+        raise ParameterError(f"multi-variable {what} requires an even kernel")
+    top = max((sum(a) for a in p.terms), default=0)
+    return ConvOperator(kernel, epsilon, top).matrix.tolist(), top
 
-    The zeroth moment is pinned to exactly 1 (unit-mass normalisation), so
-    the identity part of the map carries no quadrature residue.
-    """
-    out = 1.0
-    for g in gamma:
-        if g == 0:
-            continue
-        c = kernel.moment(g)
-        if c == 0.0:
-            return 0.0
-        out *= c
+
+def _smooth(M: list[list[float]], terms: Mapping[MultiIndex, float]) -> dict:
+    """x^a -> sum over even drops d of prod_i M[a_i - d_i][a_i] x^(a - d)."""
+    out: dict[MultiIndex, float] = {}
+    for alpha, coeff in terms.items():
+        for drop in product(*(range(0, a + 1, 2) for a in alpha)):
+            beta = tuple(a - d for a, d in zip(alpha, drop))
+            w = math.prod(M[b][a] for a, b in zip(alpha, beta))
+            out[beta] = out.get(beta, 0.0) + coeff * w
     return out
 
 
 def convolve_multipoly(kernel: Kernel, epsilon: float, p: MultiPolynomial) -> MultiPolynomial:
     """Smooth p with the separable product of 1-D copies of ``kernel``."""
-    if kernel.parity != "even":
-        raise ParameterError("multi-variable smoothing requires an even kernel")
-    check_positive("epsilon", epsilon)
-    top = max((sum(a) for a in p.terms), default=0)
-    check_degree(top)
-    eps_pow = float_powers(epsilon, top)
-    out: dict[MultiIndex, float] = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for alpha, coeff in p.terms.items():
-            ranges = [range(0, a + 1, 2) for a in alpha]  # even componentwise drops
-            for drop in product(*ranges):
-                mom = _moment_product(kernel, drop)
-                if mom == 0.0:
-                    continue
-                beta = tuple(a - d for a, d in zip(alpha, drop))
-                binom = math.prod(math.comb(a, d) for a, d in zip(alpha, drop))
-                val = coeff * binom * mom * eps_pow[sum(drop)]
-                out[beta] = out.get(beta, 0.0) + val
-    return _checked(p.dim, out, "the smoothed polynomial")
+    M, _ = _axis_map(kernel, epsilon, p, "smoothing")
+    return _checked(p.dim, _smooth(M, p.terms), "the smoothed polynomial")
 
 
 def invert_multipoly(kernel: Kernel, epsilon: float, q: MultiPolynomial) -> MultiPolynomial:
     """Preimage of q under the separable smoothing map.
 
-    Alternating binomial sum of iterates with depth floor(n/2) in the total
-    degree n; exact on polynomials because the degree-dropping part of the
-    map is nilpotent.
+    The recursion x <- x + (q - T x) from x = q, run top // 2 times for the
+    largest total degree ``top`` of any term of q.
     """
-    if kernel.parity != "even":
-        raise ParameterError("multi-variable inversion requires an even kernel")
-    half = q.total_degree() // 2
-    acc: dict[MultiIndex, float] = {}
-    cur = q
-    for j in range(half + 1):
-        w = float((-1) ** j * math.comb(half + 1, j + 1))
-        for alpha, coeff in cur.terms.items():
-            acc[alpha] = acc.get(alpha, 0.0) + coeff * w
-        if j < half:
-            cur = convolve_multipoly(kernel, epsilon, cur)
-    return _checked(q.dim, acc, "the inverse")
+    M, top = _axis_map(kernel, epsilon, q, "inversion")
+    x = q.terms
+    for _ in range(top // 2):
+        # T x has a term at every index of x, and x one at every index of q
+        x = {a: x.get(a, 0.0) + (q.terms.get(a, 0.0) - t) for a, t in _smooth(M, x).items()}
+    return _checked(q.dim, x, "the inverse")
 
 
 def _checked(dim: int, terms: dict[MultiIndex, float], what: str) -> MultiPolynomial:

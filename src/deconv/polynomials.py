@@ -139,8 +139,8 @@ def terms_from_json(data) -> tuple[int, list[tuple[tuple[int, ...], float]]]:
     Raises InputError naming the missing or malformed field.
     """
     try:
-        dim = int(data["dim"])
-        terms = [(tuple(int(a) for a in t["alpha"]), float(t["coeff"])) for t in data["terms"]]
+        dim = _integer(data["dim"])
+        terms = [(tuple(map(_integer, t["alpha"])), float(t["coeff"])) for t in data["terms"]]
     except KeyError as exc:
         raise InputError(f"polynomial JSON has no {exc} field") from None
     except (TypeError, ValueError, OverflowError) as exc:
@@ -151,10 +151,11 @@ def terms_from_json(data) -> tuple[int, list[tuple[tuple[int, ...], float]]]:
     return dim, terms
 
 
-def float_powers(x: float, n: int) -> list[float]:
-    """x^0 .. x^n as floats, inf past float64 (where a Python float power raises)."""
-    with np.errstate(over="ignore"):
-        return [float(np.float64(x) ** k) for k in range(n + 1)]
+def _integer(value) -> int:
+    """A JSON integer or integral float; not a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"malformed polynomial JSON: {value!r} is not an integer")
+    return int(value)
 
 
 def check_degree(degree: int) -> None:
@@ -199,7 +200,8 @@ class ConvOperator:
 
     def _build_matrix(self) -> np.ndarray:
         n = self.max_degree
-        eps_pow = float_powers(self.epsilon, n)
+        # numpy powers, which reach inf past float64 where a Python float power raises
+        eps_pow = [float(np.float64(self.epsilon) ** k) for k in range(n + 1)]
         even_only = self.kernel.parity == "even"
         M = np.zeros((n + 1, n + 1))
         np.fill_diagonal(M, 1.0)

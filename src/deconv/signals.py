@@ -281,11 +281,13 @@ def signal_from_csv(path: str) -> GridSignal:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     if len(ts) < 2:
         raise InputError(f"{path}: need at least 2 samples")
-    t = np.asarray(ts)
-    dt = float(t[1] - t[0])
-    if dt <= 0 or np.abs(np.diff(t) - dt).max() > 1e-9 * max(abs(dt), 1.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(ts)
+    dt = float(steps[0])
+    # a NaN compares false, so a NaN or infinite time fails this test
+    if not (0 < dt < math.inf and np.abs(steps - dt).max() <= 1e-9 * max(dt, 1.0)):
         raise InputError(f"{path}: time column is not uniformly spaced")
-    return GridSignal(float(t[0]), dt, np.asarray(vs))
+    return GridSignal(ts[0], dt, np.asarray(vs))
 
 
 def spectrum_to_csv(sp: Spectrum, path: str) -> None:

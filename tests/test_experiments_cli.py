@@ -1,10 +1,16 @@
+import contextlib
 import filecmp
+import io
 import json
 import math
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from deconv.cli import main as cli_main
 from deconv.experiments import (
@@ -320,14 +326,28 @@ class TestCli:
          "ParameterError", "1030"),
         (["signal", "dft"], "s.csv", "t,value\n0.0,1.0\n0.1,abc\n", "InputError", "s.csv"),
         (["signal", "dft"], "s.csv", b"t,value\n0.0,1.0\n0.1,\xff\n", "InputError", "s.csv"),
+        (["signal", "dft"], "s.csv", "t,value\n0,1\n1,2\nnan,3\n3,4\n", "InputError", "s.csv"),
+        (["poly", "conv", "--epsilon", "0.5"], "p.json",
+         '{"dim": 1, "terms": [{"alpha": [2.5], "coeff": 1}]}', "InputError", "2.5"),
+        (["poly", "conv", "--epsilon", "0.5"], "p.json",
+         '{"dim": 2, "terms": [{"alpha": [0, 2.5], "coeff": 1}]}', "InputError", "2.5"),
+        (["poly", "conv", "--epsilon", "0.5"], "p.json",
+         '{"dim": 1, "terms": [{"alpha": [true], "coeff": 1}]}', "InputError", "True"),
+        (["poly", "conv", "--epsilon", "0.5"], "p.json", b"[1.0, 2.0\xff]", "InputError",
+         "p.json"),
+        (["poly", "conv", "--epsilon", "0.5", "--family", "tabulated", "--kernel-csv",
+          "{path}"], "k.csv", b"x,value\n-1,0\n0,1\xff\n1,0\n", "InputError", "k.csv"),
     ], ids=["csv-row-one-column-dft", "csv-row-one-column-deconv", "json-no-terms",
             "json-term-no-coeff", "json-1d-term-no-coeff", "json-alpha-overflows-int",
             "json-1d-degree-1e8", "degree-1030", "json-2d-total-degree-1030",
-            "csv-non-numeric-value", "csv-not-utf8"])
+            "csv-non-numeric-value", "csv-not-utf8", "csv-nan-time",
+            "json-1d-fractional-alpha", "json-2d-fractional-alpha", "json-bool-alpha",
+            "json-not-utf8", "kernel-csv-not-utf8"])
     def test_malformed_input_exit_code_and_json(self, tmp_path, capsys, argv, name,
                                                  text, error, field):
         path = tmp_path / name
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        argv = [str(path) if a == "{path}" else a for a in argv]
         code = cli_main(argv + ["--in", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
@@ -366,3 +386,79 @@ class TestCli:
         assert cli_main(["kernel", "moments", "--config", str(cfg)]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 4  # header + m = 0, 1, 2
+
+
+# -- the CLI contract on generated input files ----------------------------------
+
+# Each command reads the file "{in}".  None of them discretises a kernel: a
+# generated time step would size the taps.
+CSV_COMMANDS = (
+    ["signal", "dft", "--in", "{in}", "--out", "{out}"],
+    ["kernel", "moments", "--family", "tabulated", "--kernel-csv", "{in}"],
+    ["kernel", "moments", "--family", "tabulated", "--parity", "even", "--kernel-csv", "{in}"],
+)
+JSON_COMMANDS = (
+    ["poly", "conv", "--epsilon", "0.5", "--in", "{in}"],
+    ["poly", "deconv", "--family", "bump", "--epsilon", "0.9", "--in", "{in}"],
+    ["poly", "iterate", "--epsilon", "0.8", "--k", "2", "--in", "{in}"],
+)
+
+_cell = st.sampled_from(["0", "1", "-1", "0.5", "nan", "inf", "1e400", "abc", ""]) \
+    | st.floats().map(repr)
+_csv = st.builds(
+    lambda head, rows: "\n".join([head, *(",".join(r) for r in rows)]) + "\n",
+    st.sampled_from(["t,value", "x,value", "t", ""]),
+    st.lists(st.lists(_cell, max_size=3), max_size=8))
+# uniform grids, so that some files get past the parser
+_grid_csv = st.builds(
+    lambda t0, dt, vs: "t,value\n" + "".join(f"{t0 + i * dt!r},{v!r}\n"
+                                             for i, v in enumerate(vs)),
+    st.floats(-10, 10), st.floats(1e-3, 2), st.lists(st.floats(-5, 5), min_size=2, max_size=8))
+_scalar = st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=2)
+_term = st.fixed_dictionaries({
+    "alpha": st.lists(st.integers(0, 12) | st.sampled_from([2.0, 2.5, 1e400, 10**8]) | _scalar,
+                      max_size=4),
+    "coeff": st.floats(-2, 2) | _scalar,
+})
+_poly = (st.fixed_dictionaries({"dim": st.integers(0, 4) | _scalar,
+                                "terms": st.lists(_term, max_size=6)})
+         | st.lists(st.floats(-2, 2) | _scalar, max_size=8) | _scalar)
+
+
+def _encoded(texts):
+    """The texts as UTF-8, sometimes with a byte that is not UTF-8, or any bytes."""
+    return st.builds(lambda text, tail: text.encode() + tail,
+                     texts, st.sampled_from([b"", b"\xff", b"\x00"])) | st.binary(max_size=40)
+
+
+@given(case=st.tuples(st.sampled_from(CSV_COMMANDS), _encoded(_csv | _grid_csv))
+       | st.tuples(st.sampled_from(JSON_COMMANDS), _encoded(_poly.map(json.dumps))))
+@example(case=(CSV_COMMANDS[0], b"t,value\n0,1\n1,2\nnan,3\n3,4\n"))
+@example(case=(CSV_COMMANDS[0], b"t,value\n0.0,1.0\n0.1,\xff\n"))
+@example(case=(CSV_COMMANDS[1], b"x,value\n-1,0\n0,1\xff\n1,0\n"))
+@example(case=(JSON_COMMANDS[0], b'{"dim": 1, "terms": [{"alpha": [2.5], "coeff": 1}]}'))
+@example(case=(JSON_COMMANDS[0], b'{"dim": 1, "terms": [{"alpha": [true], "coeff": 1}]}'))
+@example(case=(JSON_COMMANDS[0], b'{"dim": 2, "terms": [{"alpha": [1e400, 0], "coeff": 1}]}'))
+@example(case=(JSON_COMMANDS[0], b'{"dim": 1, "terms": [{"alpha": [100000000], "coeff": 1}]}'))
+@example(case=(JSON_COMMANDS[0], b"[1.0, 2.0\xff]"))
+@example(case=(JSON_COMMANDS[1], b'{"dim": 2, "terms": [{"alpha": [1, 0], "coeff": 1}]}'))
+def test_cli_exit_code_and_stderr_on_generated_files(case):
+    argv, content = case
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"{in}": os.path.join(tmp, "in"), "{out}": os.path.join(tmp, "out")}
+        with open(paths["{in}"], "wb") as fh:
+            fh.write(content)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli_main([paths.get(a, a) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        # outside pytest a warning is one more stderr line
+        lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0]), dict)

@@ -6,7 +6,7 @@ import pytest
 from deconv.deconvolution import DeconvConfig, make_sinc_filter
 from deconv.errors import InputError, ParameterError
 from deconv.kernels import BumpKernel, GaussianKernel, Kernel, TabulatedKernel, make_kernel
-from deconv.multipoly import MultiPolynomial, convolve_multipoly
+from deconv.multipoly import MultiPolynomial, convolve_multipoly, invert_multipoly
 from deconv.polynomials import ConvOperator
 from deconv.signals import discretize_kernel
 from oracles import cosine_transform
@@ -221,6 +221,9 @@ POSITIVE_ARGUMENTS = {
     "ConvOperator-epsilon": lambda v: ConvOperator(_GAUSS, v, 4),
     "convolve_multipoly-epsilon": lambda v: convolve_multipoly(
         _GAUSS, v, MultiPolynomial(2, {(2, 0): 1.0})),
+    # affine: a fixed point, so no smoothing pass runs before the check
+    "invert_multipoly-epsilon": lambda v: invert_multipoly(
+        _GAUSS, v, MultiPolynomial(2, {(0, 0): 2.0, (1, 0): 1.0})),
     "discretize_kernel-epsilon": lambda v: discretize_kernel(_GAUSS, v, 0.01),
     "discretize_kernel-dt": lambda v: discretize_kernel(_GAUSS, 0.5, v),
     "DeconvConfig-epsilon": lambda v: DeconvConfig(_GAUSS, v, 3),

@@ -3,6 +3,7 @@ import pytest
 
 from deconv.errors import InputError, ParameterError
 from deconv.multipoly import MultiPolynomial, convolve_multipoly, invert_multipoly
+from deconv.polynomials import terms_from_json
 from deconv.quadrature import integrate
 
 
@@ -42,6 +43,10 @@ class TestMultiPolynomial:
         p = MultiPolynomial(2, {(0, 0): 1.0, (2, 1): 3.0})
         assert p.total_degree() == 3
         assert p(2.0, 1.0) == 1.0 + 3.0 * 4.0
+
+    def test_integral_float_indices_read_as_integers(self):
+        data = {"dim": 2.0, "terms": [{"alpha": [2.0, 0], "coeff": 1}]}
+        assert terms_from_json(data) == (2, [((2, 0), 1.0)])
 
     def test_json_roundtrip(self):
         p = MultiPolynomial(3, {(1, 0, 2): -2.5, (0, 0, 0): 1.0})
@@ -128,3 +133,23 @@ class TestInvert:
         r = invert_multipoly(gaussian, 0.7, q)
         back = convolve_multipoly(gaussian, 0.7, r)
         assert max_term_diff(back, q) < 1e-10 * max(1.0, q.max_abs_coeff())
+
+    def test_roundtrip_total_degree_20(self, gaussian):
+        # the alternating binomial sum of iterates loses up to 1e-5 here
+        rng = np.random.default_rng(20)
+        alphas = [(i, j) for i in range(21) for j in range(21) if i + j <= 20]
+        worst = 0.0
+        for eps in (0.5, 0.6, 0.7, 0.8, 0.9, 0.99):
+            p = MultiPolynomial(2, dict(zip(alphas, rng.uniform(-1, 1, len(alphas)))))
+            q = convolve_multipoly(gaussian, eps, p)
+            back = convolve_multipoly(gaussian, eps, invert_multipoly(gaussian, eps, q))
+            worst = max(worst, max_term_diff(back, q) / q.max_abs_coeff())
+        assert worst <= 1e-8
+
+    def test_depth_from_structural_degree(self, gaussian):
+        # the image of x^24 at eps = 1 has its top term 1e-15 of its largest,
+        # below the trim of total_degree(): the depth must come from the terms
+        p = MultiPolynomial(2, {(24, 0): 1.0})
+        q = convolve_multipoly(gaussian, 1.0, p)
+        assert q.total_degree() < 24
+        assert max_term_diff(invert_multipoly(gaussian, 1.0, q), p) < 1e-6
