@@ -11,9 +11,10 @@ total degree by two, so it is nilpotent.  The inverse is the fixed-point
 recursion ``x <- x + (q - T x)`` from ``x = q``, run top // 2 times for the
 largest total degree ``top`` of any term, after which ``T x = q`` exactly.
 It equals the alternating binomial sum of iterates, which cancels
-catastrophically in float64.  ``ConvOperator`` checks epsilon, caps the
-total degree at ``MAX_DEGREE`` and rejects a map beyond float64; a result
-beyond float64 raises ParameterError here.
+catastrophically in float64.  ``M`` reaches the largest single exponent;
+``ConvOperator`` checks epsilon and rejects a map beyond float64.  The total
+degree is capped at ``MAX_DEGREE``, as in one variable, and a result beyond
+float64 raises ParameterError.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Mapping
 
 from .errors import InputError, ParameterError
 from .kernels import Kernel
-from .polynomials import ConvOperator, terms_from_json
+from .polynomials import ConvOperator, check_degree, terms_from_json
 
 COEFF_TRIM_REL = 1e-14
 MAX_DIM = 3
@@ -108,12 +109,14 @@ class MultiPolynomial:
         return cls(dim, dict(terms))
 
 
-def _axis_map(kernel: Kernel, epsilon: float, p: MultiPolynomial, what: str):
-    """The 1-D smoothing matrix as lists up to p's largest total degree, and that degree."""
+def _axis_map(kernel: Kernel, epsilon: float, p: MultiPolynomial):
+    """The 1-D smoothing matrix as lists up to p's largest exponent, and p's total degree."""
     if kernel.parity != "even":
-        raise ParameterError(f"multi-variable {what} requires an even kernel")
+        raise ParameterError("multi-variable smoothing requires an even kernel")
     top = max((sum(a) for a in p.terms), default=0)
-    return ConvOperator(kernel, epsilon, top).matrix.tolist(), top
+    check_degree(top)
+    widest = max((max(a) for a in p.terms), default=0)
+    return ConvOperator(kernel, epsilon, widest).matrix.tolist(), top
 
 
 def _smooth(M: list[list[float]], terms: Mapping[MultiIndex, float]) -> dict:
@@ -129,26 +132,28 @@ def _smooth(M: list[list[float]], terms: Mapping[MultiIndex, float]) -> dict:
 
 def convolve_multipoly(kernel: Kernel, epsilon: float, p: MultiPolynomial) -> MultiPolynomial:
     """Smooth p with the separable product of 1-D copies of ``kernel``."""
-    M, _ = _axis_map(kernel, epsilon, p, "smoothing")
-    return _checked(p.dim, _smooth(M, p.terms), "the smoothed polynomial")
+    M, _ = _axis_map(kernel, epsilon, p)
+    return MultiPolynomial(p.dim, _finite(_smooth(M, p.terms), "the smoothed polynomial"))
 
 
 def invert_multipoly(kernel: Kernel, epsilon: float, q: MultiPolynomial) -> MultiPolynomial:
     """Preimage of q under the separable smoothing map.
 
     The recursion x <- x + (q - T x) from x = q, run top // 2 times for the
-    largest total degree ``top`` of any term of q.
+    largest total degree ``top`` of any term of q.  A pass beyond float64
+    raises ParameterError at once.
     """
-    M, top = _axis_map(kernel, epsilon, q, "inversion")
+    M, top = _axis_map(kernel, epsilon, q)
     x = q.terms
     for _ in range(top // 2):
         # T x has a term at every index of x, and x one at every index of q
-        x = {a: x.get(a, 0.0) + (q.terms.get(a, 0.0) - t) for a, t in _smooth(M, x).items()}
-    return _checked(q.dim, x, "the inverse")
+        x = _finite({a: x.get(a, 0.0) + (q.terms.get(a, 0.0) - t)
+                     for a, t in _smooth(M, x).items()}, "the inverse")
+    return MultiPolynomial(q.dim, x)
 
 
-def _checked(dim: int, terms: dict[MultiIndex, float], what: str) -> MultiPolynomial:
-    """The operator output as a polynomial; one beyond float64 raises ParameterError."""
+def _finite(terms: dict[MultiIndex, float], what: str) -> dict[MultiIndex, float]:
+    """The terms, or ParameterError if one is beyond float64."""
     if not all(map(math.isfinite, terms.values())):
         raise ParameterError(f"{what} overflows float64")
-    return MultiPolynomial(dim, terms)
+    return terms

@@ -22,6 +22,7 @@ from deconv.experiments import (
     spectral_peak_to_floor,
     taylor_sin_mix,
 )
+from deconv.multipoly import MultiPolynomial
 from deconv.polynomials import Polynomial1D
 from deconv.signals import dft, sample_function, signal_from_csv
 
@@ -234,6 +235,26 @@ class TestCli:
         r = Polynomial1D.from_json(open(r_path).read())
         assert np.abs(r.padded(4) - p.coeffs).max() < 1e-10
 
+    @pytest.mark.parametrize("alpha, epsilon, actions", [
+        ([134, 134], 0.5, ["conv"]),
+        ([267, 1], 0.1, ["conv", "deconv"]),
+    ], ids=["x134y134-conv", "x267y-roundtrip"])
+    def test_gaussian_degree_limit_is_per_variable(self, tmp_path, alpha, epsilon, actions):
+        # total degree 268 without any exponent that needs the moment c_268,
+        # whose quadrature overflows float64
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"dim": 2, "terms": [{"alpha": alpha, "coeff": 1}]}))
+        for action in actions:
+            out = tmp_path / f"{action}.json"
+            assert cli_main(["poly", action, "--family", "gaussian", "--epsilon", str(epsilon),
+                             "--in", str(path), "--out", str(out)]) == 0
+            path = out
+        r = MultiPolynomial.from_json(path.read_text())
+        assert r.coefficient(alpha) == 1.0
+        if actions[-1] == "deconv":
+            assert max((abs(c) for a, c in r.terms.items() if a != tuple(alpha)),
+                       default=0.0) < 1e-9
+
     @pytest.mark.parametrize("action", ["conv", "deconv"])
     @pytest.mark.parametrize("text,expected", [
         ("[]", [0.0]),
@@ -357,14 +378,19 @@ class TestCli:
 
     # a numpy RuntimeWarning would be one more stderr line; here it fails the test
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("argv, poly", [
-        (["poly", "deconv", "--family", "bump", "--epsilon", "0.5"], [0.0] * 300 + [1.0]),
-        (["poly", "deconv", "--family", "gaussian", "--epsilon", "0.5"], [0.0] * 300 + [1.0]),
-        (["poly", "conv", "--family", "bump", "--epsilon", "100"], [0.0] * 300 + [1.0]),
+    @pytest.mark.parametrize("argv, poly, what", [
+        (["poly", "deconv", "--family", "bump", "--epsilon", "0.5"], [0.0] * 300 + [1.0],
+         "the result"),
+        (["poly", "deconv", "--family", "gaussian", "--epsilon", "0.5"], [0.0] * 300 + [1.0],
+         "moment c_268"),
+        (["poly", "conv", "--family", "bump", "--epsilon", "100"], [0.0] * 300 + [1.0],
+         "the smoothing map"),
         (["poly", "deconv", "--epsilon", "0.8"],
-         {"dim": 2, "terms": [{"alpha": [200, 200], "coeff": 1}]}),
-    ], ids=["bump-inverse", "gaussian-moment", "bump-map", "2d-smoothed"])
-    def test_float64_overflow_is_one_parameter_error(self, tmp_path, capsys, argv, poly):
+         {"dim": 2, "terms": [{"alpha": [200, 200], "coeff": 1}]}, "the inverse"),
+        (["poly", "conv", "--epsilon", "0.8"],
+         {"dim": 2, "terms": [{"alpha": [200, 200], "coeff": 1}]}, "the smoothed polynomial"),
+    ], ids=["bump-inverse", "gaussian-moment", "bump-map", "2d-smoothed", "2d-smoothed-conv"])
+    def test_float64_overflow_is_one_parameter_error(self, tmp_path, capsys, argv, poly, what):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(poly))
         assert cli_main(argv + ["--in", str(path)]) == 1
@@ -373,7 +399,8 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
-        assert err["error"] == "ParameterError" and "overflows float64" in err["message"]
+        assert err["error"] == "ParameterError"
+        assert err["message"].startswith(what) and "overflows float64" in err["message"]
 
     def test_usage_error_exit_code_2(self):
         with pytest.raises(SystemExit) as exc:
