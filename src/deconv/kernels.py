@@ -114,12 +114,15 @@ class Kernel:
             math.pow(r, m)  # x^m peaks at the support's edge
         except OverflowError:
             # a non-finite integrand would exhaust the panel budget instead
-            raise ParameterError(f"moment c_{m} of the {self.family} kernel: its "
-                                 f"integrand x^{m} phi(x) overflows float64") from None
+            raise self._moment_overflow(m) from None
         val, _ = integrate(lambda x: x**m * self.density(x), -r, r,
                            abs_tol=QUAD_ABS_TOL, rel_tol=QUAD_REL_TOL,
                            initial_panels=16)
         return val
+
+    def _moment_overflow(self, m: int) -> ParameterError:
+        return ParameterError(f"moment c_{m} of the {self.family} kernel: its "
+                              f"integrand x^{m} phi(x) overflows float64")
 
     def scaled_moment(self, epsilon: float, m: int) -> float:
         """integral x^m phi_eps(x) dx = c_m eps^m (0 for odd m, even kernels)."""
@@ -318,7 +321,11 @@ class TabulatedKernel(Kernel):
         return np.interp(x, self._x, self._v, left=0.0, right=0.0)
 
     def _compute_moment(self, m: int) -> float:
-        return float(np.trapezoid(self._x**m * self._v, self._x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = float(np.trapezoid(self._x**m * self._v, self._x))
+        if not math.isfinite(val):
+            raise self._moment_overflow(m)
+        return val
 
     def fourier_grid(self, epsilon: float, xis: np.ndarray) -> np.ndarray:
         if self.parity != "even":

@@ -1,32 +1,32 @@
 """Polynomials in up to three variables under separable smoothing.
 
-A separable even product kernel smooths each variable on its own, so the
-map is the tensor product of the 1-D matrix ``M`` of ``ConvOperator``:
-
-    x^a  ->  sum over componentwise even drops d <= a of
-             prod_i M[a_i - d_i][a_i] x^(a - d)
-
-It keeps the total degree and fixes affine polynomials; ``T - I`` lowers the
-total degree by two, so it is nilpotent.  The inverse is the fixed-point
-recursion ``x <- x + (q - T x)`` from ``x = q``, run top // 2 times for the
-largest total degree ``top`` of any term, after which ``T x = q`` exactly.
-It equals the alternating binomial sum of iterates, which cancels
-catastrophically in float64.  ``M`` reaches the largest single exponent;
-``ConvOperator`` checks epsilon and rejects a map beyond float64.  The total
-degree is capped at ``MAX_DEGREE``, as in one variable, and a result beyond
-float64 raises ParameterError.
+A separable product kernel smooths each variable on its own, so the map is
+the tensor product ``M ⊗ M (⊗ M)`` of the 1-D matrix ``M`` of
+``ConvOperator``, and it is applied one axis at a time.  Along an axis the
+terms fall into fibres, one for each choice of the other exponents; the
+fibres are the columns of one array, which ``M`` maps and the inverse
+back-substitutes, exactly as in one variable.  ``M`` is unit
+upper-triangular for any unit-mass kernel, even or not, so the inverse is
+one triangular solve per axis, backward stable at every degree.  The
+polynomial stays sparse between axes: entries that come out exactly 0.0
+are dropped.  ``M`` reaches the largest single exponent; ``ConvOperator``
+checks epsilon and rejects a map beyond float64.  The total degree is
+capped at ``MAX_DEGREE``, as in one variable, and a result beyond float64
+raises ParameterError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import product
 from typing import Mapping
+
+import numpy as np
 
 from .errors import InputError, ParameterError
 from .kernels import Kernel
-from .polynomials import ConvOperator, check_degree, terms_from_json
+from .polynomials import (ConvOperator, _integer, back_substitute, check_degree,
+                          terms_from_json)
 
 COEFF_TRIM_REL = 1e-14
 MAX_DIM = 3
@@ -44,7 +44,7 @@ class MultiPolynomial:
             raise ParameterError(f"dim must be 1, 2 or 3, got {dim}")
         clean: dict[MultiIndex, float] = {}
         for alpha, coeff in terms.items():
-            alpha = tuple(int(a) for a in alpha)
+            alpha = tuple(map(_integer, alpha))
             if len(alpha) != dim or any(a < 0 for a in alpha):
                 raise InputError(f"bad multi-index {alpha} for dim {dim}")
             c = float(coeff)
@@ -109,51 +109,38 @@ class MultiPolynomial:
         return cls(dim, dict(terms))
 
 
-def _axis_map(kernel: Kernel, epsilon: float, p: MultiPolynomial):
-    """The 1-D smoothing matrix as lists up to p's largest exponent, and p's total degree."""
-    if kernel.parity != "even":
-        raise ParameterError("multi-variable smoothing requires an even kernel")
-    top = max((sum(a) for a in p.terms), default=0)
-    check_degree(top)
+def _axis_map(kernel: Kernel, epsilon: float, p: MultiPolynomial) -> np.ndarray:
+    """The 1-D smoothing matrix up to p's largest single exponent."""
+    check_degree(max((sum(a) for a in p.terms), default=0))
     widest = max((max(a) for a in p.terms), default=0)
-    return ConvOperator(kernel, epsilon, widest).matrix.tolist(), top
+    return ConvOperator(kernel, epsilon, widest).matrix
 
 
-def _smooth(M: list[list[float]], terms: Mapping[MultiIndex, float]) -> dict:
-    """x^a -> sum over even drops d of prod_i M[a_i - d_i][a_i] x^(a - d)."""
-    out: dict[MultiIndex, float] = {}
-    for alpha, coeff in terms.items():
-        for drop in product(*(range(0, a + 1, 2) for a in alpha)):
-            beta = tuple(a - d for a, d in zip(alpha, drop))
-            w = math.prod(M[b][a] for a, b in zip(alpha, beta))
-            out[beta] = out.get(beta, 0.0) + coeff * w
-    return out
+def _per_axis(solve, p: MultiPolynomial, what: str) -> MultiPolynomial:
+    """Apply ``solve`` to the column stack of p's fibres along each axis in turn."""
+    alphas = np.array(list(p.terms), dtype=int).reshape(-1, p.dim)
+    coeffs = np.fromiter(p.terms.values(), float, len(p.terms))
+    for axis in range(p.dim):
+        fibres, col = np.unique(np.delete(alphas, axis, axis=1), axis=0, return_inverse=True)
+        B = np.zeros((alphas[:, axis].max(initial=-1) + 1, len(fibres)))
+        B[alphas[:, axis], col.reshape(-1)] = coeffs  # numpy 2.0.0 returns col as a column
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = solve(B)
+        if not np.all(np.isfinite(B)):
+            raise ParameterError(f"{what} overflows float64")
+        row, col = np.nonzero(B)
+        alphas = np.insert(fibres[col], axis, row, axis=1)
+        coeffs = B[row, col]
+    return MultiPolynomial(p.dim, dict(zip(map(tuple, alphas.tolist()), coeffs.tolist())))
 
 
 def convolve_multipoly(kernel: Kernel, epsilon: float, p: MultiPolynomial) -> MultiPolynomial:
     """Smooth p with the separable product of 1-D copies of ``kernel``."""
-    M, _ = _axis_map(kernel, epsilon, p)
-    return MultiPolynomial(p.dim, _finite(_smooth(M, p.terms), "the smoothed polynomial"))
+    M = _axis_map(kernel, epsilon, p)
+    return _per_axis(lambda B: M[: len(B), : len(B)] @ B, p, "the smoothed polynomial")
 
 
 def invert_multipoly(kernel: Kernel, epsilon: float, q: MultiPolynomial) -> MultiPolynomial:
-    """Preimage of q under the separable smoothing map.
-
-    The recursion x <- x + (q - T x) from x = q, run top // 2 times for the
-    largest total degree ``top`` of any term of q.  A pass beyond float64
-    raises ParameterError at once.
-    """
-    M, top = _axis_map(kernel, epsilon, q)
-    x = q.terms
-    for _ in range(top // 2):
-        # T x has a term at every index of x, and x one at every index of q
-        x = _finite({a: x.get(a, 0.0) + (q.terms.get(a, 0.0) - t)
-                     for a, t in _smooth(M, x).items()}, "the inverse")
-    return MultiPolynomial(q.dim, x)
-
-
-def _finite(terms: dict[MultiIndex, float], what: str) -> dict[MultiIndex, float]:
-    """The terms, or ParameterError if one is beyond float64."""
-    if not all(map(math.isfinite, terms.values())):
-        raise ParameterError(f"{what} overflows float64")
-    return terms
+    """Preimage of q under the separable smoothing map: one triangular solve per axis."""
+    M = _axis_map(kernel, epsilon, q)
+    return _per_axis(lambda B: back_substitute(M, B), q, "the inverse")

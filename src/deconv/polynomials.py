@@ -9,9 +9,9 @@ with ``c_k`` the kernel moments.  On the coefficient vector this is a
 triangular matrix with unit diagonal (the map only pushes mass from a power
 down to powers two or more below it), hence a vector-space automorphism:
 smoothing a polynomial loses no information, and the inverse is another
-triangular map.  For non-even kernels the same expansion holds with signs,
-``(-1)^k C(j, k) c_k eps^k``, but the inverse changes character and is not
-offered.
+triangular map.  For non-even kernels the same expansion holds over every
+k with signs, ``(-1)^k C(j, k) c_k eps^k``; the matrix is still unit
+upper-triangular, and the same back-substitution inverts it.
 
 The inverse is computed by back-substitution against the stored matrix.
 It equals the alternating sum of iterated convolutions
@@ -152,9 +152,9 @@ def terms_from_json(data) -> tuple[int, list[tuple[tuple[int, ...], float]]]:
 
 
 def _integer(value) -> int:
-    """A JSON integer or integral float; not a bool."""
+    """An integer or integral float; not a bool."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InputError(f"malformed polynomial JSON: {value!r} is not an integer")
+        raise InputError(f"malformed polynomial: {value!r} is not an integer")
     return int(value)
 
 
@@ -165,6 +165,18 @@ def check_degree(degree: int) -> None:
             f"degree {degree} exceeds {MAX_DEGREE}, the largest whose binomial "
             "coefficients are float64 numbers"
         )
+
+
+def back_substitute(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """r with ``M[:n, :n] @ r = b`` for unit upper-triangular M, n = len(b).
+
+    ``b`` is a vector or a stack of columns, all solved at once.
+    """
+    n = b.shape[0]
+    r = b.copy()
+    for i in range(n - 1, -1, -1):
+        r[i] = b[i] - M[i, i + 1 : n] @ r[i + 1 : n]
+    return r
 
 
 class ConvOperator:
@@ -202,19 +214,14 @@ class ConvOperator:
         n = self.max_degree
         # numpy powers, which reach inf past float64 where a Python float power raises
         eps_pow = [float(np.float64(self.epsilon) ** k) for k in range(n + 1)]
-        even_only = self.kernel.parity == "even"
+        # (-1)^k c_k; the odd moments of an even kernel are 0.0 and add nothing
+        signed = [1.0] + [(-1) ** k * self.kernel.moment(k) for k in range(1, n + 1)]
         M = np.zeros((n + 1, n + 1))
         np.fill_diagonal(M, 1.0)
-        step = 2 if even_only else 1
         for j in range(n + 1):
-            for k in range(step, j + 1, step):
-                c = self.kernel.moment(k)
-                if c == 0.0:
-                    continue
-                term = math.comb(j, k) * c * eps_pow[k]
-                if not even_only and k % 2 == 1:
-                    term = -term
-                M[j - k, j] = term
+            for k in range(1, j + 1):
+                if signed[k] != 0.0:
+                    M[j - k, j] = math.comb(j, k) * signed[k] * eps_pow[k]
         return M
 
     # -- forward -------------------------------------------------------------
@@ -275,18 +282,10 @@ class ConvOperator:
         Back-substitutes the unit-triangular system (backward stable, no
         iterated convolutions).
         """
-        if self.kernel.parity != "even":
-            raise ParameterError(
-                "inversion requires an even kernel; the smoothing map is only "
-                "an automorphism when odd moments vanish"
-            )
-        d = self._check_degree(q)
-        b = q.padded(self.max_degree + 1)
-        r = b.copy()
+        self._check_degree(q)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(d, -1, -1):
-                r[i] = b[i] - self.matrix[i, i + 1 : d + 1] @ r[i + 1 : d + 1]
-        return Polynomial1D(self._finite(r[: d + 1], "the result"))
+            r = back_substitute(self.matrix, q.coeffs)
+        return Polynomial1D(self._finite(r, "the result"))
 
     def _check_degree(self, p: Polynomial1D) -> int:
         """Effective length-based degree: the full stored vector participates."""

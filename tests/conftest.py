@@ -1,10 +1,11 @@
+import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from deconv.kernels import BumpKernel, GaussianKernel
+from deconv.kernels import BumpKernel, GaussianKernel, TabulatedKernel
 
 settings.register_profile(
     "numeric",
@@ -25,6 +26,14 @@ def gaussian():
 @pytest.fixture(scope="session")
 def bump():
     return BumpKernel()
+
+
+@pytest.fixture(scope="session")
+def skew_normal():
+    """The skew-normal density 2 phi(x) Phi(4x), tabulated: a kernel that is not even."""
+    x = np.linspace(-8.0, 8.0, 8001)
+    cdf = 0.5 * (1.0 + np.array([math.erf(4.0 * v / math.sqrt(2.0)) for v in x]))
+    return TabulatedKernel(x, 2.0 * np.exp(-x**2 / 2) / math.sqrt(2 * math.pi) * cdf)
 
 
 @pytest.fixture(scope="session")

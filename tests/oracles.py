@@ -6,10 +6,12 @@ the package takes, so that a test can check the fast path against it.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from deconv.multipoly import MultiPolynomial
 from deconv.polynomials import ConvOperator, Polynomial1D
 from deconv.quadrature import integrate
 
@@ -66,6 +68,18 @@ def series_inverse(op: ConvOperator, q: Polynomial1D) -> Polynomial1D:
         if j < half:
             cur = op.matrix @ cur
     return Polynomial1D(acc[: d + 1])
+
+
+def smooth_by_drops(kernel, epsilon: float, p: MultiPolynomial) -> MultiPolynomial:
+    """The separable map term by term: x^a -> sum over b <= a of prod_i M[b_i, a_i] x^b."""
+    M = ConvOperator(kernel, epsilon, max((max(a) for a in p.terms), default=0)).matrix
+    out: dict[tuple[int, ...], float] = {}
+    for alpha, coeff in p.terms.items():
+        for beta in itertools.product(*(range(a + 1) for a in alpha)):
+            w = math.prod(M[b, a] for a, b in zip(alpha, beta))
+            if w != 0.0:
+                out[beta] = out.get(beta, 0.0) + coeff * w
+    return MultiPolynomial(p.dim, out)
 
 
 def coefficients_close(a, b, rel_tol: float, scale: float | None = None) -> bool:

@@ -235,25 +235,24 @@ class TestCli:
         r = Polynomial1D.from_json(open(r_path).read())
         assert np.abs(r.padded(4) - p.coeffs).max() < 1e-10
 
-    @pytest.mark.parametrize("alpha, epsilon, actions", [
-        ([134, 134], 0.5, ["conv"]),
-        ([267, 1], 0.1, ["conv", "deconv"]),
-    ], ids=["x134y134-conv", "x267y-roundtrip"])
-    def test_gaussian_degree_limit_is_per_variable(self, tmp_path, alpha, epsilon, actions):
+    @pytest.mark.parametrize("alpha, epsilon", [
+        ([134, 134], 0.5),
+        ([267, 1], 0.1),
+    ], ids=["x134y134-roundtrip", "x267y-roundtrip"])
+    def test_gaussian_degree_limit_is_per_variable(self, tmp_path, alpha, epsilon):
         # total degree 268 without any exponent that needs the moment c_268,
         # whose quadrature overflows float64
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"dim": 2, "terms": [{"alpha": alpha, "coeff": 1}]}))
-        for action in actions:
+        for action in ("conv", "deconv"):
             out = tmp_path / f"{action}.json"
             assert cli_main(["poly", action, "--family", "gaussian", "--epsilon", str(epsilon),
                              "--in", str(path), "--out", str(out)]) == 0
             path = out
         r = MultiPolynomial.from_json(path.read_text())
         assert r.coefficient(alpha) == 1.0
-        if actions[-1] == "deconv":
-            assert max((abs(c) for a, c in r.terms.items() if a != tuple(alpha)),
-                       default=0.0) < 1e-9
+        assert max((abs(c) for a, c in r.terms.items() if a != tuple(alpha)),
+                   default=0.0) < 1e-9
 
     @pytest.mark.parametrize("action", ["conv", "deconv"])
     @pytest.mark.parametrize("text,expected", [
@@ -378,22 +377,26 @@ class TestCli:
 
     # a numpy RuntimeWarning would be one more stderr line; here it fails the test
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("argv, poly, what", [
-        (["poly", "deconv", "--family", "bump", "--epsilon", "0.5"], [0.0] * 300 + [1.0],
-         "the result"),
-        (["poly", "deconv", "--family", "gaussian", "--epsilon", "0.5"], [0.0] * 300 + [1.0],
-         "moment c_268"),
-        (["poly", "conv", "--family", "bump", "--epsilon", "100"], [0.0] * 300 + [1.0],
-         "the smoothing map"),
-        (["poly", "deconv", "--epsilon", "0.8"],
+    @pytest.mark.parametrize("argv, content, what", [
+        (["poly", "deconv", "--family", "bump", "--epsilon", "0.5", "--in", "{path}"],
+         [0.0] * 300 + [1.0], "the result"),
+        (["poly", "deconv", "--family", "gaussian", "--epsilon", "0.5", "--in", "{path}"],
+         [0.0] * 300 + [1.0], "moment c_268"),
+        (["poly", "conv", "--family", "bump", "--epsilon", "100", "--in", "{path}"],
+         [0.0] * 300 + [1.0], "the smoothing map"),
+        (["poly", "deconv", "--epsilon", "0.8", "--in", "{path}"],
          {"dim": 2, "terms": [{"alpha": [200, 200], "coeff": 1}]}, "the inverse"),
-        (["poly", "conv", "--epsilon", "0.8"],
+        (["poly", "conv", "--epsilon", "0.8", "--in", "{path}"],
          {"dim": 2, "terms": [{"alpha": [200, 200], "coeff": 1}]}, "the smoothed polynomial"),
-    ], ids=["bump-inverse", "gaussian-moment", "bump-map", "2d-smoothed", "2d-smoothed-conv"])
-    def test_float64_overflow_is_one_parameter_error(self, tmp_path, capsys, argv, poly, what):
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(poly))
-        assert cli_main(argv + ["--in", str(path)]) == 1
+        (["kernel", "moments", "--family", "tabulated", "--kernel-csv", "{path}"],
+         "x,value\n-1e200,0\n0,1\n1e200,0\n", "moment c_2"),
+    ], ids=["bump-inverse", "gaussian-moment", "bump-map", "2d-smoothed", "2d-smoothed-conv",
+            "tabulated-moment"])
+    def test_float64_overflow_is_one_parameter_error(self, tmp_path, capsys, argv, content,
+                                                      what):
+        path = tmp_path / "input"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        assert cli_main([str(path) if a == "{path}" else a for a in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -469,6 +472,7 @@ def _encoded(texts):
 @example(case=(JSON_COMMANDS[0], b'{"dim": 1, "terms": [{"alpha": [100000000], "coeff": 1}]}'))
 @example(case=(JSON_COMMANDS[0], b"[1.0, 2.0\xff]"))
 @example(case=(JSON_COMMANDS[1], b'{"dim": 2, "terms": [{"alpha": [1, 0], "coeff": 1}]}'))
+@example(case=(CSV_COMMANDS[1], b"x,value\n-1e200,0\n0,1\n1e200,0\n"))
 def test_cli_exit_code_and_stderr_on_generated_files(case):
     argv, content = case
     stderr = io.StringIO()
@@ -484,8 +488,10 @@ def test_cli_exit_code_and_stderr_on_generated_files(case):
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 1, 2)
-    if code == 1:
-        # outside pytest a warning is one more stderr line
-        lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+    # outside pytest a warning is one more stderr line
+    lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+    if code == 0:
+        assert lines == []
+    elif code == 1:
         assert len(lines) == 1
         assert isinstance(json.loads(lines[0]), dict)

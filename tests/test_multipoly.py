@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from deconv.errors import InputError, ParameterError
+from deconv.kernels import TabulatedKernel
 from deconv.multipoly import MultiPolynomial, convolve_multipoly, invert_multipoly
-from deconv.polynomials import terms_from_json
+from deconv.polynomials import ConvOperator, Polynomial1D, terms_from_json
 from deconv.quadrature import integrate
+from oracles import smooth_by_drops
 
 
 def smoothed_value_oracle_2d(kernel, epsilon, poly, x, y):
@@ -48,6 +50,10 @@ class TestMultiPolynomial:
         data = {"dim": 2.0, "terms": [{"alpha": [2.0, 0], "coeff": 1}]}
         assert terms_from_json(data) == (2, [((2, 0), 1.0)])
 
+    def test_rejects_fractional_index(self):
+        with pytest.raises(InputError):
+            MultiPolynomial(1, {(2.5,): 1.0})
+
     def test_json_roundtrip(self):
         p = MultiPolynomial(3, {(1, 0, 2): -2.5, (0, 0, 0): 1.0})
         q = MultiPolynomial.from_json(p.to_json())
@@ -87,12 +93,26 @@ class TestConvolve:
         p = MultiPolynomial(2, terms)
         assert convolve_multipoly(gaussian, 0.9, p).total_degree() == p.total_degree()
 
-    def test_refuses_general_kernel(self):
-        from deconv.kernels import TabulatedKernel
-        x = np.linspace(-1, 1, 501)
-        k = TabulatedKernel(x, np.exp(-(x**2)) * (1 + 0.3 * x), parity="general")
-        with pytest.raises(ParameterError):
-            convolve_multipoly(k, 0.5, MultiPolynomial(2, {(1, 0): 1.0}))
+    @pytest.mark.parametrize("family", ["gaussian", "bump", "skew_normal"])
+    def test_matches_term_by_term_map(self, request, family):
+        kernel = request.getfixturevalue(family)
+        rng = np.random.default_rng(3)
+        for dim, top in ((2, 20), (3, 12)):
+            alphas = [tuple(a) for a in np.ndindex(*(top + 1,) * dim) if sum(a) <= top]
+            p = MultiPolynomial(dim, dict(zip(alphas, rng.uniform(-1, 1, len(alphas)))))
+            q = convolve_multipoly(kernel, 0.8, p)
+            ref = smooth_by_drops(kernel, 0.8, p)
+            assert q.terms.keys() == ref.terms.keys()
+            assert max_term_diff(q, ref) <= 1e-14 * ref.max_abs_coeff()
+
+    @pytest.mark.parametrize("family", ["gaussian", "skew_normal"])
+    def test_image_is_product_of_1d_images(self, request, family):
+        kernel = request.getfixturevalue(family)
+        q = convolve_multipoly(kernel, 0.7, MultiPolynomial(2, {(5, 3): 1.0}))
+        x5 = ConvOperator(kernel, 0.7, 5).convolve(Polynomial1D([0.0] * 5 + [1.0])).coeffs
+        y3 = ConvOperator(kernel, 0.7, 3).convolve(Polynomial1D([0.0] * 3 + [1.0])).coeffs
+        expect = {(i, j): a * b for i, a in enumerate(x5) for j, b in enumerate(y3) if a * b}
+        assert q.terms == expect
 
 
 class TestInvert:
@@ -148,8 +168,38 @@ class TestInvert:
 
     def test_depth_from_structural_degree(self, gaussian):
         # the image of x^24 at eps = 1 has its top term 1e-15 of its largest,
-        # below the trim of total_degree(): the depth must come from the terms
+        # below the trim of total_degree(): the solve must use every term
         p = MultiPolynomial(2, {(24, 0): 1.0})
         q = convolve_multipoly(gaussian, 1.0, p)
         assert q.total_degree() < 24
         assert max_term_diff(invert_multipoly(gaussian, 1.0, q), p) < 1e-6
+
+    @pytest.mark.parametrize("dim, top", [(2, 32), (3, 20)])
+    @pytest.mark.parametrize("family", ["gaussian", "bump"])
+    def test_backward_error_at_eps_level(self, request, family, dim, top):
+        kernel = request.getfixturevalue(family)
+        assert _worst_backward_error(kernel, dim, top, (0.5, 0.7, 0.9)) <= 1e-14
+
+    def test_general_kernel_roundtrip(self):
+        x = np.linspace(-1, 1, 501)
+        k = TabulatedKernel(x, np.exp(-(x**2)) * (1 + 0.3 * x), parity="general")
+        p = MultiPolynomial(2, {(1, 0): 1.0, (2, 1): -0.5, (0, 3): 2.0})
+        q = convolve_multipoly(k, 0.5, p)
+        assert q.coefficient((0, 0)) != 0.0  # the first moment shifts x
+        assert max_term_diff(invert_multipoly(k, 0.5, q), p) < 1e-14
+
+    def test_skew_normal_backward_error(self, skew_normal):
+        assert _worst_backward_error(skew_normal, 2, 20, (0.7,)) <= 1e-14
+
+
+def _worst_backward_error(kernel, dim, top, epsilons):
+    """max |T r - q| / max |q| for r = T^-1 q, q = T p, p dense and random."""
+    rng = np.random.default_rng(top)
+    alphas = [tuple(a) for a in np.ndindex(*(top + 1,) * dim) if sum(a) <= top]
+    worst = 0.0
+    for eps in epsilons:
+        p = MultiPolynomial(dim, dict(zip(alphas, rng.uniform(-1, 1, len(alphas)))))
+        q = convolve_multipoly(kernel, eps, p)
+        back = convolve_multipoly(kernel, eps, invert_multipoly(kernel, eps, q))
+        worst = max(worst, max_term_diff(back, q) / q.max_abs_coeff())
+    return worst
