@@ -170,7 +170,8 @@ def _cmd_deconv_run(args) -> int:
         "admissibility_check": not args.no_admissibility_check,
         "auto_stop": args.auto_stop,
     }
-    summary["spectral_factor_dc"] = float(spectral_factor(cfg, 0.0))
+    if k.parity == "even":  # a general kernel has no real transform
+        summary["spectral_factor_dc"] = float(spectral_factor(cfg, 0.0))
     if args.report:
         _write_text(args.report, json.dumps(summary, sort_keys=True, indent=2))
     return 0

@@ -19,6 +19,8 @@ class PrecisionError(DeconvError):
     """Quadrature failed to reach the requested tolerance.
 
     Carries the achieved absolute error estimate in ``achieved_error``.
+    Nothing in the package raises it any more (its quadrature is a fixed
+    rule with no tolerance); it stays exported for API compatibility.
     """
 
     def __init__(self, message: str, achieved_error: float):

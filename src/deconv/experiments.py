@@ -265,7 +265,8 @@ def run_fig2(spec: ExperimentSpec, out_dir: str) -> dict:
     spec_f = dft(f)
     spectrum_to_csv(spec_f, os.path.join(out_dir, "fig2_spectrum_original.csv"))
     spectrum_to_csv(dft(smoothed), os.path.join(out_dir, "fig2_spectrum_convolved.csv"))
-    spectrum_to_csv(dft(recon), os.path.join(out_dir, "fig2_spectrum_reconstructed.csv"))
+    spec_recon = dft(recon)
+    spectrum_to_csv(spec_recon, os.path.join(out_dir, "fig2_spectrum_reconstructed.csv"))
     spectrum_to_csv(kernel_spectrum(kernel, spec.epsilon, spec_f),
                     os.path.join(out_dir, "fig2_spectrum_kernel.csv"))
 
@@ -274,7 +275,7 @@ def run_fig2(spec: ExperimentSpec, out_dir: str) -> dict:
         for w in SIN_MIX_ANGULAR_FREQS
     }
     peaks = {
-        str(w): spectral_peak_to_floor(dft(recon), w) for w in SIN_MIX_ANGULAR_FREQS
+        str(w): spectral_peak_to_floor(spec_recon, w) for w in SIN_MIX_ANGULAR_FREQS
     }
     summary = {
         "config": spec.to_dict(),

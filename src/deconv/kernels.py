@@ -17,24 +17,22 @@ Built-in families:
 * ``BumpKernel``: ``exp(-1 / (1 - x^2))`` on (-1, 1), normalised to unit
   area; compact support, oscillating transform with real zeros.
 * ``TabulatedKernel``: user samples on a grid, trapezoid-integrated.
+
+Integrals of the Gaussian and bump kernels use the fixed Gauss-Legendre rule
+of :mod:`deconv.quadrature`; the tabulated kernel keeps the trapezoid rule
+that defines it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InputError, ParameterError, check_positive
-from .quadrature import _GK_NODES as _GK_NODES_ROW
-from .quadrature import _W_KRONROD as _GK_WEIGHTS_ROW
-from .quadrature import integrate
-
-QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-8
+from .quadrature import integrate, rule
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class Kernel:
 
     def __init__(self):
         self._moment_cache: dict[int, float] = {}
-        self._lock = threading.Lock()
 
     # -- density ------------------------------------------------------------
 
@@ -103,22 +100,18 @@ class Kernel:
         m = int(m)
         if self.parity == "even" and m % 2 == 1:
             return 0.0
-        with self._lock:
-            if m not in self._moment_cache:
-                self._moment_cache[m] = self._compute_moment(m)
-            return self._moment_cache[m]
+        if m not in self._moment_cache:
+            self._moment_cache[m] = self._compute_moment(m)
+        return self._moment_cache[m]
 
     def _compute_moment(self, m: int) -> float:
         r = self.support_radius
         try:
             math.pow(r, m)  # x^m peaks at the support's edge
         except OverflowError:
-            # a non-finite integrand would exhaust the panel budget instead
+            # a ParameterError, rather than an inf or nan from the rule
             raise self._moment_overflow(m) from None
-        val, _ = integrate(lambda x: x**m * self.density(x), -r, r,
-                           abs_tol=QUAD_ABS_TOL, rel_tol=QUAD_REL_TOL,
-                           initial_panels=16)
-        return val
+        return integrate(lambda x: x**m * self.density(x), -r, r)
 
     def _moment_overflow(self, m: int) -> ParameterError:
         return ParameterError(f"moment c_{m} of the {self.family} kernel: its "
@@ -138,8 +131,10 @@ class Kernel:
         """phi_eps_hat(xi) = phi_hat(eps * xi) on an array of frequencies.
 
         The cosine transform of an even kernel with finite support, by one
-        composite Gauss-Kronrod rule shared across all frequencies (a single
-        cosine matrix-vector product).
+        composite Gauss-Legendre rule (:func:`deconv.quadrature.rule`) shared
+        across all frequencies: a single cosine matrix-vector product.  Two
+        64-point panels per unit of ``eps * max|xi| * r`` (at least 8, at
+        most 750) put one panel on each period of the fastest cosine.
         """
         check_positive("epsilon", epsilon)
         if self.parity != "even" or not math.isfinite(self.support_radius):
@@ -150,12 +145,8 @@ class Kernel:
         xis = np.asarray(xis, dtype=float)
         r = self.support_radius
         u_max = float(np.max(np.abs(xis))) * epsilon
-        panels = int(min(max(32, math.ceil(8.0 * u_max * r)), 3000))
-        edges = np.linspace(-r, r, panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        nodes = (mids[:, None] + half * _GK_NODES_ROW).ravel()
-        weights = (half * np.broadcast_to(_GK_WEIGHTS_ROW, (panels, 15))).ravel()
+        panels = int(min(max(8, math.ceil(2.0 * u_max * r)), 750))
+        nodes, weights = rule(-r, r, panels)
         fw = self.density(nodes) * weights
         out = np.empty(xis.shape, dtype=float)
         chunk = 512
@@ -229,9 +220,7 @@ class BumpKernel(Kernel):
 
     def __init__(self):
         super().__init__()
-        raw, _ = integrate(self._raw, -1.0, 1.0,
-                           abs_tol=1e-14, rel_tol=1e-13, initial_panels=32)
-        self._norm = 1.0 / raw
+        self._norm = 1.0 / integrate(self._raw, -1.0, 1.0)
 
     @staticmethod
     def _raw(x: np.ndarray) -> np.ndarray:

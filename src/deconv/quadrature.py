@@ -1,104 +1,31 @@
-"""Adaptive Gauss-Kronrod quadrature.
+"""Fixed composite Gauss-Legendre quadrature.
 
-A 7-point Gauss / 15-point Kronrod pair on each panel; the panel with the
-largest error estimate is bisected until the combined estimate meets the
-requested tolerance.  Vectorised panel evaluation keeps the cost of smooth
-integrands low; the node table is the standard (G7, K15) pair.
+Every integral of a built-in kernel (the bump's normalisation, the moments
+and the cosine transform) uses this rule: 64-point Gauss-Legendre panels,
+each exact for polynomials up to degree 127.  The integrands are analytic on
+the kernels' (truncated) supports, so the rule converges geometrically and
+needs no error estimate or refinement.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .errors import PrecisionError
-
-# (node, Gauss-7 weight, Kronrod-15 weight) on [-1, 1]
-_GK_NODES = np.array([
-    0.000000000000000,
-    -0.207784955007898, +0.207784955007898,
-    -0.405845151377397, +0.405845151377397,
-    -0.586087235467691, +0.586087235467691,
-    -0.741531185599394, +0.741531185599394,
-    -0.864864423359769, +0.864864423359769,
-    -0.949107912342759, +0.949107912342759,
-    -0.991455371120813, +0.991455371120813,
-])
-_W_GAUSS = np.array([
-    0.417959183673469,
-    0.0, 0.0,
-    0.381830050505119, 0.381830050505119,
-    0.0, 0.0,
-    0.279705391489277, 0.279705391489277,
-    0.0, 0.0,
-    0.129484966168870, 0.129484966168870,
-    0.0, 0.0,
-])
-_W_KRONROD = np.array([
-    0.209482141084728,
-    0.204432940075298, 0.204432940075298,
-    0.190350578064785, 0.190350578064785,
-    0.169004726639267, 0.169004726639267,
-    0.140653259715525, 0.140653259715525,
-    0.104790010322250, 0.104790010322250,
-    0.063092092629979, 0.063092092629979,
-    0.022935322010529, 0.022935322010529,
-])
+PANELS = 64  # integrate()'s panel count, enough for every built-in kernel
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Return (K15 value, |K15 - G7| error estimate) for one panel."""
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _GK_NODES
-    y = np.asarray(f(x), dtype=float)
-    gauss = half * float(_W_GAUSS @ y)
-    kronrod = half * float(_W_KRONROD @ y)
-    err = abs(kronrod - gauss)
-    # The classical sharper estimate; keeps smooth panels from being split
-    # forever.  It is the smaller one only below 1, and overflows far above.
-    err = min(err, (200.0 * err) ** 1.5) if 0 < err < 1 else err
-    return kronrod, err
+def rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule on [a, b] with equal panels."""
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _NODES).ravel()
+    return nodes, np.tile(half * _WEIGHTS, panels)
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-8,
-    initial_panels: int = 8,
-    max_panels: int = 2048,
-) -> tuple[float, float]:
-    """Integrate a vectorised callable on [a, b].
-
-    Returns ``(value, error_estimate)``.  Raises :class:`PrecisionError` when
-    the adaptive refinement hits ``max_panels`` without meeting
-    ``abs_tol`` or ``rel_tol * |value|``.
-    """
+def integrate(f, a: float, b: float) -> float:
+    """Integral of the vectorised callable f on [a, b] over ``PANELS`` panels."""
     if not b > a:
         raise ValueError(f"integration bounds must satisfy b > a, got [{a}, {b}]")
-    edges = np.linspace(a, b, initial_panels + 1)
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo, hi)
-        panels.append((err, lo, hi, val))
-
-    while True:
-        total = sum(p[3] for p in panels)
-        err_total = sum(p[0] for p in panels)
-        if err_total <= max(abs_tol, rel_tol * abs(total)):
-            return total, err_total
-        if len(panels) >= max_panels:
-            raise PrecisionError(
-                f"quadrature did not converge on [{a}, {b}]: "
-                f"error estimate {err_total:.3e} after {len(panels)} panels",
-                achieved_error=err_total,
-            )
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, lo, hi, _ = panels.pop(worst)
-        mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            val, err = _panel(f, *seg)
-            panels.append((err, seg[0], seg[1], val))
-
+    nodes, weights = rule(a, b, PANELS)
+    return float(np.asarray(f(nodes), dtype=float) @ weights)

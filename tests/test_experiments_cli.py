@@ -308,6 +308,24 @@ class TestCli:
         assert rep["orders_run"] == 40
         assert rep["interior_rel_l2"] < 0.05
 
+    def test_deconv_run_general_kernel_writes_report(self, tmp_path, skew_normal):
+        # the CLI's default --parity general: no real transform, so no DC factor
+        from deconv.signals import convolve_signal, discretize_kernel, signal_to_csv
+        k_path = str(tmp_path / "k.csv")
+        np.savetxt(k_path, np.column_stack([skew_normal._x, skew_normal._v]),
+                   delimiter=",", fmt="%.17g")
+        f = sample_function(lambda t: np.sin(3 * t), -6.0, 6.0, 1024)
+        g = convolve_signal(f, discretize_kernel(skew_normal, 0.3, f.dt))
+        g_path = str(tmp_path / "g.csv"); out_path = str(tmp_path / "rec.csv")
+        rep_path = str(tmp_path / "rep.json")
+        signal_to_csv(g, g_path)
+        assert cli_main(["deconv", "run", "--family", "tabulated", "--kernel-csv", k_path,
+                         "--epsilon", "0.3", "--order", "10", "--in", g_path,
+                         "--out", out_path, "--report", rep_path]) == 0
+        rep = json.loads(open(rep_path).read())
+        assert any("admissibility scan unavailable" in w for w in rep["warnings"])
+        assert "spectral_factor_dc" not in rep
+
     def test_experiment_subcommand_summary(self, tmp_path, capsys):
         assert cli_main(["experiment", "fig2", "--out", str(tmp_path),
                          "--order", "5", "--grid=-6:6:512"]) == 0

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from deconv.kernels import BumpKernel, GaussianKernel, Kernel, TabulatedKernel, 
 from deconv.multipoly import MultiPolynomial, convolve_multipoly, invert_multipoly
 from deconv.polynomials import ConvOperator
 from deconv.signals import discretize_kernel
-from oracles import cosine_transform
+from oracles import adaptive_integrate, cosine_transform
 
 
 def gaussian_moment_closed(m: int) -> float:
@@ -19,6 +20,27 @@ def gaussian_moment_closed(m: int) -> float:
     if m == 0:
         return 1.0
     return float(math.prod(range(1, m, 2))) * 2 ** (m // 2)
+
+
+def gaussian_truncated_moments(max_m: int) -> list[float]:
+    """Oracle: even moments of the Gaussian density truncated at R = 10 sqrt(2).
+
+    Integrating by parts with phi' = -(x/2) phi gives
+    c_m = 2(m-1) c_{m-2} - 4 R^(m-1) phi(R) from c_0 = erf(R/2).  The
+    recurrence magnifies an early error by the ratio of the untruncated to
+    the truncated moment (about 1e22 at m = 266), so it runs in 70-digit
+    decimal arithmetic; in float64 it is off by 1e-6 at m = 200.
+    """
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+    with localcontext() as ctx:
+        ctx.prec = 70
+        r = Decimal(GaussianKernel.support_radius)  # the float edge, exactly
+        edge = r * (-(r * r) / 4).exp() / (4 * pi).sqrt()  # R phi(R)
+        c = [1 - Decimal(math.erfc(GaussianKernel.support_radius / 2))]
+        for m in range(2, max_m + 1, 2):
+            c.append(2 * (m - 1) * c[-1] - 4 * edge)
+            edge *= r * r
+        return [float(v) for v in c]
 
 
 def bump_moment_dense(m: int) -> float:
@@ -80,6 +102,20 @@ class TestMoments:
     def test_bump_moments_vs_dense_simpson(self, bump, m):
         dense = bump_moment_dense(m)
         assert abs(bump.moment(m) - dense) < 1e-9
+
+    def test_bump_moments_vs_adaptive_oracle(self, bump):
+        # every moment the 1-D benchmark's degree-50 jobs read, and more
+        norm, _ = adaptive_integrate(bump._raw, -1.0, 1.0, abs_tol=0.0,
+                                     rel_tol=1e-13, initial_panels=32)
+        for m in range(0, 61, 2):
+            raw, _ = adaptive_integrate(lambda x: x**m * bump._raw(x), -1.0, 1.0,
+                                        abs_tol=0.0, rel_tol=1e-13, initial_panels=32)
+            assert abs(bump.moment(m) * norm / raw - 1.0) < 1e-12, m
+
+    def test_gaussian_moments_vs_truncated_recurrence(self, gaussian):
+        # up to c_266, the last moment whose integrand stays finite
+        for m, ref in zip(range(0, 267, 2), gaussian_truncated_moments(266)):
+            assert abs(gaussian.moment(m) / ref - 1.0) < 1e-13, m
 
     def test_scaled_moment_law(self, gaussian):
         assert abs(gaussian.scaled_moment(0.5, 2) - 0.5) < 1e-10

@@ -5,8 +5,7 @@ from deconv.errors import InputError, ParameterError
 from deconv.kernels import TabulatedKernel
 from deconv.multipoly import MultiPolynomial, convolve_multipoly, invert_multipoly
 from deconv.polynomials import ConvOperator, Polynomial1D, terms_from_json
-from deconv.quadrature import integrate
-from oracles import smooth_by_drops
+from oracles import adaptive_integrate, smooth_by_drops
 
 
 def smoothed_value_oracle_2d(kernel, epsilon, poly, x, y):
@@ -19,11 +18,11 @@ def smoothed_value_oracle_2d(kernel, epsilon, poly, x, y):
             def inner(vs):
                 pv = np.array([poly(x - float(u), y - float(v)) for v in vs])
                 return pv * kernel.eval(epsilon, vs)
-            val, _ = integrate(inner, -r, r, abs_tol=1e-10, rel_tol=1e-9)
+            val, _ = adaptive_integrate(inner, -r, r, abs_tol=1e-10, rel_tol=1e-9)
             out[i] = val * kernel.eval(epsilon, float(u))
         return out
 
-    val, _ = integrate(outer, -r, r, abs_tol=1e-10, rel_tol=1e-9)
+    val, _ = adaptive_integrate(outer, -r, r, abs_tol=1e-10, rel_tol=1e-9)
     return val
 
 

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from deconv.errors import InputError, ParameterError
 from deconv.kernels import TabulatedKernel
 from deconv.polynomials import MAX_DEGREE, ConvOperator, Polynomial1D
-from deconv.quadrature import integrate
-from oracles import coefficients_close, series_inverse
+from oracles import adaptive_integrate, coefficients_close, series_inverse
 
 
 def smoothed_values_oracle(kernel, epsilon, poly, xs):
@@ -17,7 +16,7 @@ def smoothed_values_oracle(kernel, epsilon, poly, xs):
     r = epsilon * kernel.support_radius
     out = []
     for x in xs:
-        val, _ = integrate(
+        val, _ = adaptive_integrate(
             lambda y: poly(x - y) * kernel.eval(epsilon, y),
             -r, r, abs_tol=1e-12, rel_tol=1e-11, initial_panels=16,
         )
