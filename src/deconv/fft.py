@@ -1,7 +1,8 @@
 """Discrete Fourier transforms of nonempty 1-D arrays, any length.
 
 ``fft`` and ``ifft`` delegate to ``numpy.fft``: the forward transform is
-unnormalised and the inverse carries 1/N.
+unnormalised and the inverse carries 1/N.  ``next_fast_len`` picks the
+5-smooth lengths (2^a 3^b 5^c) at which numpy's mixed-radix FFT runs fast.
 """
 
 from __future__ import annotations
@@ -9,11 +10,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (1 for n <= 1)."""
+    best = 1 << max(n - 1, 0).bit_length()  # the power of two bounds the search
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that lifts it to n
+            best = min(best, p35 << max(-(-n // p35) - 1, 0).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _checked(x: np.ndarray, name: str) -> np.ndarray:

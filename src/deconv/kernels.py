@@ -34,6 +34,13 @@ import numpy as np
 from .errors import InputError, ParameterError, check_positive
 from .quadrature import integrate, rule
 
+# Kernel.fourier_grid's panel cap, and how many periods of the cosine a capped
+# panel may hold.  Measured for the bump against its exact transform (below
+# 1e-100 there): within 1e-13 up to 27 periods per panel, aliased from 28 on
+# (1.2e-12 at 28, 2.9e-11 at 29, 1.4e-7 at 32).
+MAX_PANELS = 750
+MAX_PERIODS_PER_PANEL = 27
+
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -134,7 +141,9 @@ class Kernel:
         composite Gauss-Legendre rule (:func:`deconv.quadrature.rule`) shared
         across all frequencies: a single cosine matrix-vector product.  Two
         64-point panels per unit of ``eps * max|xi| * r`` (at least 8, at
-        most 750) put one panel on each period of the fastest cosine.
+        most ``MAX_PANELS``) put one panel on each period of the fastest
+        cosine.  Past ``MAX_PERIODS_PER_PANEL`` periods per capped panel the
+        rule aliases, and a ``ParameterError`` says so.
         """
         check_positive("epsilon", epsilon)
         if self.parity != "even" or not math.isfinite(self.support_radius):
@@ -145,7 +154,14 @@ class Kernel:
         xis = np.asarray(xis, dtype=float)
         r = self.support_radius
         u_max = float(np.max(np.abs(xis))) * epsilon
-        panels = int(min(max(8, math.ceil(2.0 * u_max * r)), 750))
+        periods = 2.0 * u_max * r  # of the fastest cosine across [-r, r]
+        if periods > MAX_PANELS * MAX_PERIODS_PER_PANEL:
+            raise ParameterError(
+                f"eps * max|xi| = {u_max:.6g} is past the reach of the {self.family} "
+                f"kernel's transform ({MAX_PANELS * MAX_PERIODS_PER_PANEL / (2.0 * r):.6g}); "
+                "the quadrature would alias"
+            )
+        panels = int(min(max(8, math.ceil(periods)), MAX_PANELS))
         nodes, weights = rule(-r, r, panels)
         fw = self.density(nodes) * weights
         out = np.empty(xis.shape, dtype=float)

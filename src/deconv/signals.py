@@ -3,15 +3,17 @@
 Discrete convolution follows the zero-pad-and-crop policy: the signal is
 extended with zeros by the kernel half-width on both sides, linearly
 convolved, and cropped back to the original window, so the output carries
-the same (t0, dt, N) as the input.  Samples within a half-width of either
-boundary are edge-distorted by construction; error metrics exclude them via
-an interior mask.
+the same (t0, dt, N) as the input.  Long kernels compute the same crop as a
+circular convolution at a 5-smooth length (``TapsConvolver``).  Samples
+within a half-width of either boundary are edge-distorted by construction;
+error metrics exclude them via an interior mask.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -189,12 +191,18 @@ class TapsConvolver:
 
     Fewer than DIRECT_CONV_MAX_TAPS taps convolve directly with
     ``np.convolve``, which keeps short kernels (a 1-tap all-pass filter in
-    particular) exact.  Longer kernels go through the FFT at the next
-    power-of-two length: the padded tap transform and two work buffers of
-    that length are made once, so each repeated application (the
-    deconvolution iteration) pays one forward and one inverse transform and
-    allocates only its N-sample result.  An instance is not safe to share
-    between threads.
+    particular) exact.  Longer kernels (2h + 1 taps) go through a circular
+    convolution of length L, the smallest 5-smooth length (see
+    :func:`deconv.fft.next_fast_len`) with L >= n + h and L >= 2h + 1.  The
+    taps sit centred on index 0 (``w[h:]`` at 0..h, ``w[:h]`` at L-h..L-1),
+    so the first n circular outputs are the cropped linear ones: for i, j
+    in [0, n) the index (i - j) mod L meets the taps only where
+    |i - j| <= h once L >= n + h.  L >= 2h + 1 gives every tap its own slot
+    when the taps outnumber the samples, so the stored spectrum is the taps'
+    own transform.  The tap transform and two work buffers of length L are
+    made once, so each repeated application (the deconvolution iteration)
+    pays one forward and one inverse transform and allocates only its
+    N-sample result.  An instance is not safe to share between threads.
     """
 
     def __init__(self, taps: KernelTaps, n: int):
@@ -203,25 +211,26 @@ class TapsConvolver:
         self.taps = taps
         self.n = int(n)
         w = taps.weights
+        h = taps.half_width
         self._tap_spectrum = None
         if w.size >= DIRECT_CONV_MAX_TAPS:
-            self._m = _fft.next_pow2(self.n + w.size - 1)
-            self._tap_spectrum = _fft.fft(np.concatenate([w, np.zeros(self._m - w.size)]))
-            self._padded = np.zeros(self._m, dtype=complex)  # the values, then zeros
-            self._work = np.empty(self._m, dtype=complex)
+            size = _fft.next_fast_len(max(self.n + h, 2 * h + 1))
+            centred = np.zeros(size)
+            centred[: h + 1] = w[h:]
+            centred[size - h :] = w[:h]
+            self._tap_spectrum = _fft.fft(centred)
+            self._padded = np.zeros(size, dtype=complex)  # the values, then zeros
+            self._work = np.empty(size, dtype=complex)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Convolve a raw value array (no finiteness validation)."""
-        w = self.taps.weights
-        h = self.taps.half_width
         if self._tap_spectrum is None:
-            full = np.convolve(values, w)
-        else:
-            self._padded[: self.n] = values
-            fa = _fft.fft(self._padded, out=self._work)
-            fa *= self._tap_spectrum
-            full = _fft.ifft(fa, out=fa).real
-        return full[h : h + self.n].copy()
+            h = self.taps.half_width
+            return np.convolve(values, self.taps.weights)[h : h + self.n].copy()
+        self._padded[: self.n] = values
+        fa = _fft.fft(self._padded, out=self._work)
+        fa *= self._tap_spectrum
+        return _fft.ifft(fa, out=fa).real[: self.n].copy()
 
 
 def convolve_signal(s: GridSignal, taps: KernelTaps) -> GridSignal:
@@ -259,24 +268,48 @@ def signal_to_csv(s: GridSignal, path: str) -> None:
     write_columns_csv(path, ["t", "value"], [s.times, s.values])
 
 
-def signal_from_csv(path: str) -> GridSignal:
+def _csv_body(reader, path: str) -> tuple[list[float], list[float]]:
+    """(t, value) columns by ``float()`` of each row's first two fields."""
     ts, vs = [], []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < 2:
+            raise InputError(f"expected two columns (t,value) in {path}, got {row!r}")
+        try:
+            ts.append(float(row[0]))
+            vs.append(float(row[1]))
+        except ValueError:
+            raise InputError(f"non-numeric row in {path}: {row!r}") from None
+    return ts, vs
+
+
+def signal_from_csv(path: str) -> GridSignal:
+    """Read a ``t,value`` CSV with a uniformly spaced time column.
+
+    numpy's C parser reads the body; it converts each field as ``float()``
+    does.  Whatever it refuses (underscored digits such as ``1_0``, a short
+    row, a non-numeric field) is re-read row by row with ``csv.reader`` and
+    ``float()``, which accepts what ``float()`` accepts and names the
+    offending row.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None or [c.strip().lower() for c in header[:2]] != ["t", "value"]:
                 raise InputError(f"{path}: expected header 't,value'")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < 2:
-                    raise InputError(f"expected two columns (t,value) in {path}, got {row!r}")
-                try:
-                    ts.append(float(row[0]))
-                    vs.append(float(row[1]))
-                except ValueError:
-                    raise InputError(f"non-numeric row in {path}: {row!r}") from None
+            try:
+                with warnings.catch_warnings():
+                    # an empty body is reported below, not as loadtxt's warning
+                    warnings.simplefilter("ignore", UserWarning)
+                    body = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                      usecols=(0, 1), ndmin=2)
+                ts, vs = body[:, 0], body[:, 1]
+            except ValueError:  # a UnicodeDecodeError too: the re-read raises it again
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                ts, vs = _csv_body(reader, path)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     if len(ts) < 2:
@@ -287,7 +320,7 @@ def signal_from_csv(path: str) -> GridSignal:
     # a NaN compares false, so a NaN or infinite time fails this test
     if not (0 < dt < math.inf and np.abs(steps - dt).max() <= 1e-9 * max(dt, 1.0)):
         raise InputError(f"{path}: time column is not uniformly spaced")
-    return GridSignal(ts[0], dt, np.asarray(vs))
+    return GridSignal(float(ts[0]), dt, np.asarray(vs))
 
 
 def spectrum_to_csv(sp: Spectrum, path: str) -> None:

@@ -6,14 +6,16 @@ the package takes, so that a test can check the fast path against it.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
 
-from deconv.errors import PrecisionError
+from deconv.errors import InputError, PrecisionError
 from deconv.multipoly import MultiPolynomial
 from deconv.polynomials import ConvOperator, Polynomial1D
+from deconv.signals import GridSignal
 
 # (node, Gauss-7 weight, Kronrod-15 weight) on [-1, 1]
 _GK_NODES = np.array([
@@ -181,3 +183,38 @@ def coefficients_close(a, b, rel_tol: float, scale: float | None = None) -> bool
     pb = np.zeros(n); pb[: bv.size] = bv
     denom = scale if scale is not None else max(np.abs(pa).max(), np.abs(pb).max(), 1e-300)
     return bool(np.abs(pa - pb).max() <= rel_tol * denom)
+
+
+def signal_from_csv_by_rows(path: str) -> GridSignal:
+    """A ``t,value`` CSV read row by row with ``csv.reader`` and ``float()``.
+
+    The reference for ``signals.signal_from_csv``, whose numpy parser must
+    agree with it bit for bit, or fail where it fails with the same message.
+    """
+    ts, vs = [], []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip().lower() for c in header[:2]] != ["t", "value"]:
+                raise InputError(f"{path}: expected header 't,value'")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < 2:
+                    raise InputError(f"expected two columns (t,value) in {path}, got {row!r}")
+                try:
+                    ts.append(float(row[0]))
+                    vs.append(float(row[1]))
+                except ValueError:
+                    raise InputError(f"non-numeric row in {path}: {row!r}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+    if len(ts) < 2:
+        raise InputError(f"{path}: need at least 2 samples")
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(ts)
+    dt = float(steps[0])
+    if not (0 < dt < math.inf and np.abs(steps - dt).max() <= 1e-9 * max(dt, 1.0)):
+        raise InputError(f"{path}: time column is not uniformly spaced")
+    return GridSignal(ts[0], dt, np.asarray(vs))

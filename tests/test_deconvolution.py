@@ -106,6 +106,15 @@ class TestInverseOperator:
         rep = inverse_operator(cfg, g)
         assert any("transform" in w for w in rep.warnings)
 
+    def test_scan_past_the_transform_reach_warns(self, bump):
+        # Nyquist 12500 at eps = 1 is past the bump transform's reach (10125):
+        # the scan cannot run, the inversion still does
+        g = GridSignal(0.0, 1.0 / 25000, np.ones(64))
+        rep = inverse_operator(DeconvConfig(bump, 1.0, 2, admissibility_check=True), g)
+        assert len(rep.warnings) == 1
+        assert rep.warnings[0].startswith("admissibility scan unavailable")
+        assert "alias" in rep.warnings[0]
+
     def test_no_warning_for_gaussian(self, gaussian):
         g = smooth_window_tone(n=256)
         cfg = DeconvConfig(gaussian, 0.04, 3, admissibility_check=True)

@@ -222,6 +222,23 @@ class TestCli:
         rep = json.loads(open(out).read())
         assert rep["passed"] is False and rep["zero_crossings"]
 
+    def test_transform_past_its_reach(self, capsys, tmp_path):
+        # kernel fourier fails with one JSON error; deconv run only warns
+        assert cli_main(["kernel", "fourier", "--family", "bump", "--epsilon", "1",
+                         "--xi-max", "24000", "--n-grid", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ParameterError" and "alias" in err["message"]
+        from deconv.signals import GridSignal, signal_to_csv
+        g_path = str(tmp_path / "g.csv"); rep_path = str(tmp_path / "rep.json")
+        signal_to_csv(GridSignal(0.0, 1.0 / 25000, np.ones(64)), g_path)
+        assert cli_main(["deconv", "run", "--family", "bump", "--epsilon", "1",
+                         "--order", "2", "--in", g_path, "--out", str(tmp_path / "rec.csv"),
+                         "--report", rep_path]) == 0
+        rep = json.loads(open(rep_path).read())
+        assert [w[:30] for w in rep["warnings"]] == ["admissibility scan unavailable"]
+
     def test_poly_conv_deconv_roundtrip_via_files(self, tmp_path):
         p = Polynomial1D([0.25, -1.0, 0.5, 2.0])
         p_path = str(tmp_path / "p.json")

@@ -2,13 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from deconv.fft import fft, ifft, next_pow2
+from deconv.fft import fft, ifft, next_fast_len
 from oracles import direct_dft
 
 
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 def test_pow2_helpers():
-    assert next_pow2(1000) == 1024
-    assert next_pow2(1024) == 1024
+    # next_fast_len: the smallest 2^a 3^b 5^c at or above n
+    assert [next_fast_len(n) for n in (0, 1, 2, 7, 1000, 1024, 3375, 3413)] == \
+        [1, 1, 2, 8, 1000, 1024, 3375, 3456]
+    fast = [n for n in range(1, 5001) if _is_5_smooth(n)]
+    for n in range(1, 5001):
+        assert next_fast_len(n) == next(m for m in fast if m >= n)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256, 3, 240, 2001, 2731])

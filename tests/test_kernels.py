@@ -6,9 +6,18 @@ import pytest
 
 from deconv.deconvolution import DeconvConfig, make_sinc_filter
 from deconv.errors import InputError, ParameterError
-from deconv.kernels import BumpKernel, GaussianKernel, Kernel, TabulatedKernel, make_kernel
+from deconv.kernels import (
+    MAX_PANELS,
+    MAX_PERIODS_PER_PANEL,
+    BumpKernel,
+    GaussianKernel,
+    Kernel,
+    TabulatedKernel,
+    make_kernel,
+)
 from deconv.multipoly import MultiPolynomial, convolve_multipoly, invert_multipoly
 from deconv.polynomials import ConvOperator
+from deconv.quadrature import rule
 from deconv.signals import discretize_kernel
 from oracles import adaptive_integrate, cosine_transform
 
@@ -158,6 +167,22 @@ class TestFourier:
         grid = bump.fourier_grid(0.9, xis)
         point = np.array([cosine_transform(bump, 0.9, float(x)) for x in xis])
         assert np.abs(grid - point).max() < 1e-9
+
+    def test_bump_transform_up_to_its_reach(self, bump):
+        # the capped rule agrees with an uncapped one (two panels per period)
+        # up to MAX_PERIODS_PER_PANEL periods per panel; the bump's radius is 1
+        reach = MAX_PANELS * MAX_PERIODS_PER_PANEL / 2.0
+        xis = np.array([6000.0, reach - 0.5, reach])
+        nodes, weights = rule(-1.0, 1.0, int(4 * reach))
+        fw = bump.density(nodes) * weights
+        uncapped = np.array([np.cos(2.0 * math.pi * xi * nodes) @ fw for xi in xis])
+        assert np.abs(bump.fourier_grid(1.0, xis) - uncapped).max() < 1e-13
+
+    @pytest.mark.parametrize("eps, xi", [(1.0, 12000.0), (0.5, 24000.0), (2.0, -6000.0)])
+    def test_bump_transform_past_its_reach_raises(self, bump, eps, xi):
+        # 32 periods per capped panel: the rule returned 1.3e-7 for a value below 1e-100
+        with pytest.raises(ParameterError, match="alias"):
+            bump.fourier_grid(eps, np.array([0.0, xi]))
 
     def test_non_even_kernel_has_no_transform(self):
         class Skewed(Kernel):

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from deconv.deconvolution import make_sinc_filter
 from deconv.errors import InputError, ParameterError, ResolutionError
 from deconv.signals import (
     DIRECT_CONV_MAX_TAPS,
@@ -22,7 +23,7 @@ from deconv.signals import (
     signal_to_csv,
     spectrum_to_csv,
 )
-from oracles import direct_dft
+from oracles import direct_dft, signal_from_csv_by_rows
 
 
 class TestGridSignal:
@@ -109,9 +110,20 @@ class TestConvolveSignal:
     def test_direct_equals_fft(self, rng):
         # np.convolve cropped to the window is the oracle on both sides of
         # DIRECT_CONV_MAX_TAPS, at a length that is not a power of two
-        s = GridSignal(0.0, 0.01, rng.normal(size=500))
-        for size in (DIRECT_CONV_MAX_TAPS // 2 - 1, 2 * DIRECT_CONV_MAX_TAPS + 1):
-            taps = KernelTaps(rng.normal(size=size), s.dt)
+        cases = [(500, rng.normal(size=DIRECT_CONV_MAX_TAPS // 2 - 1)),
+                 (500, rng.normal(size=2 * DIRECT_CONV_MAX_TAPS + 1)),
+                 # n + h = 540 = 2^2 3^3 5 is 5-smooth: the circular length is n + h
+                 (500, rng.normal(size=81)),
+                 # n + h - 1 = 540: a length one short of n + h would be 5-smooth
+                 (500, rng.normal(size=83)),
+                 # taps outnumber samples; 2h + 1 = 125 = 5^3 sets the length
+                 (40, rng.normal(size=125)),
+                 (2, rng.normal(size=201))]
+        dt = 12.0 / 2047  # fig3's grid and its 2731-tap sinc filter
+        cases.append((2048, make_sinc_filter(1.0, dt, 8.0).weights))
+        for n, weights in cases:
+            s = GridSignal(0.0, dt, rng.normal(size=n))
+            taps = KernelTaps(weights, dt)
             h = taps.half_width
             expect = np.convolve(s.values, taps.weights)[h : h + s.n]
             assert np.abs(convolve_signal(s, taps).values - expect).max() < 1e-10
@@ -258,6 +270,65 @@ class TestCsv:
         rows = ((f, b.real, b.imag, abs(b)) for f, b in zip(sp.frequencies, sp.bins))
         self.reference_csv(str(tmp_path / "ref.csv"), ["freq", "re", "im", "abs"], rows)
         assert (tmp_path / "sp.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# -- signal_from_csv against the row-by-row reader on generated files ---------
+
+_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+_FORMATS = st.sampled_from([repr, "{:.17g}".format, "{:g}".format,
+                            lambda x: f'"{x!r}"', lambda x: f" {x!r}\t"])
+_FIELDS = st.sampled_from(["0", "1", "-2.5", "1_0", "1e", "nan", "inf", "1e400", "",
+                           " ", '"1"', '"1,5"', '"1"5', "0x1", "abc", "\u20031"]) \
+    | st.floats().map(repr)
+# uniform grids, so that most files get past the parser
+_GRID_TEXT = st.builds(
+    lambda t0, dt, vs, fmt, extra, end: "t,value" + end + "".join(
+        f"{fmt(t0 + i * dt)},{fmt(v)}{extra}{end}" for i, v in enumerate(vs)),
+    st.floats(-10, 10), st.floats(1e-3, 2), st.lists(st.floats(-5, 5), max_size=8),
+    _FORMATS, st.sampled_from(["", ",x", ",3", ","]), _ENDS)
+_ROWS_TEXT = st.builds(
+    lambda head, rows, end: end.join([head, *(",".join(r) for r in rows)]) + end,
+    st.sampled_from(["t,value", " T , Value,x", "t", ""]),
+    st.lists(st.lists(_FIELDS, max_size=3), max_size=6), _ENDS)
+
+
+def _splice(text, row, k):
+    """text with the generated row inserted after its first k >= 1 lines."""
+    lines = text.splitlines(True)
+    return "".join(lines[:k] + [",".join(row) + "\n"] + lines[k:])
+
+
+_SPLICED_TEXT = st.builds(_splice, _GRID_TEXT, st.lists(_FIELDS, max_size=3), st.integers(1, 9))
+_SIGNAL_CSV = st.builds(lambda text, tail: text.encode() + tail,
+                        _GRID_TEXT | _ROWS_TEXT | _SPLICED_TEXT,
+                        st.sampled_from([b""] * 4 + [b"\xff"]))
+
+
+def _read_outcome(read, path):
+    try:
+        s = read(path)
+    except InputError as exc:
+        return str(exc)
+    return s.t0, s.dt, s.values.tobytes()
+
+
+@given(data=_SIGNAL_CSV)
+@example(data=b"t,value\n0,1\n1_0,2\n")
+@example(data=b"t,value\r0,1\r1,2\r2,4\r")
+@example(data=b't,value\n"0","1"\n"1",2\n2,"4"\n')
+@example(data=b"t,value\n0,1,x\n1,2,y\n2,3\n")
+@example(data=b"t,value\n\n0,1\n\n1,2\n\n")
+@example(data=b"t,value\n0,1\n  \n1,2\n")
+@example(data=b"t,value\n0,1\n1,2\n\t\n")
+@example(data=b"t,value\n")
+@example(data=b"t,value\n0,1\n1,\xff2\n")
+def test_reader_matches_row_oracle(data, tmp_path_factory):
+    # same samples bit for bit, or the same InputError message
+    path = str(tmp_path_factory.getbasetemp() / "generated.csv")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    assert _read_outcome(signal_from_csv, path) == \
+        _read_outcome(signal_from_csv_by_rows, path)
 
 
 def test_interior_rel_l2():
