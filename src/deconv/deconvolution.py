@@ -41,6 +41,7 @@ from .signals import (
     dft,
     discretize_kernel,
     interior_rel_l2,
+    l2_norm,
 )
 
 
@@ -139,47 +140,48 @@ def inverse_operator(
                     )
 
     n = cfg.order
-    mask = g.interior_mask(cfg.edge_margin)
+    inner = g.interior(cfg.edge_margin)
     conv = TapsConvolver(taps, g.n)
     x = g.values.copy()
     residuals = np.empty(n + 1)
-    update_norms: list[float] = []
+    last_unorm = math.inf  # the interior update norm, read by auto_stop only
     grow_streak = 0
     orders_run = n
     m = 0
-    while m < n:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = g.values - conv.apply(x)
-        if not np.all(np.isfinite(r)):
-            raise DivergenceError(
-                f"non-finite intermediate at order {m}; kernel is far from admissible",
-                iteration=m,
-            )
-        with np.errstate(over="ignore"):
-            residuals[m] = float(np.linalg.norm(r))
-            x = x + r
-            unorm = float(np.linalg.norm(r[mask]))
-        update_norms.append(unorm)
-        if cfg.auto_stop and len(update_norms) >= 2:
-            grow_streak = grow_streak + 1 if unorm > update_norms[-2] else 0
-            if grow_streak >= 3:
-                orders_run = m + 1
-                warnings.append(
-                    f"auto-stop at order {m + 1}: interior update norm grew for "
-                    "3 consecutive orders (numerical noise floor)"
-                )
-                break
-        m += 1
-    # close the trace with the residual of the final iterate
+    # a finite norm implies finite samples, so only a non-finite one is checked
     with np.errstate(over="ignore", invalid="ignore"):
+        while m < n:
+            r = g.values - conv.apply(x)
+            rn = l2_norm(r)
+            if not math.isfinite(rn) and not np.isfinite(r).all():
+                raise DivergenceError(
+                    f"non-finite intermediate at order {m}; kernel is far from admissible",
+                    iteration=m,
+                )
+            residuals[m] = rn
+            x += r
+            if cfg.auto_stop:
+                unorm = l2_norm(r[inner])
+                grow_streak = grow_streak + 1 if unorm > last_unorm else 0
+                last_unorm = unorm
+                if grow_streak >= 3:
+                    orders_run = m + 1
+                    warnings.append(
+                        f"auto-stop at order {m + 1}: interior update norm grew for "
+                        "3 consecutive orders (numerical noise floor)"
+                    )
+                    break
+            m += 1
+        # close the trace with the residual of the final iterate
         final_r = g.values - conv.apply(x)
-    if not np.all(np.isfinite(final_r)):
+        rn = l2_norm(final_r)
+    if not math.isfinite(rn) and not np.isfinite(final_r).all():
         raise DivergenceError(
             f"non-finite intermediate at order {orders_run}; kernel is far "
             "from admissible",
             iteration=orders_run,
         )
-    residuals[orders_run] = float(np.linalg.norm(final_r))
+    residuals[orders_run] = rn
     residuals = residuals[: orders_run + 1]
 
     rec = g.with_values(x)

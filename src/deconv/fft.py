@@ -1,8 +1,11 @@
 """Discrete Fourier transforms of nonempty 1-D arrays, any length.
 
 ``fft`` and ``ifft`` delegate to ``numpy.fft``: the forward transform is
-unnormalised and the inverse carries 1/N.  ``next_fast_len`` picks the
-5-smooth lengths (2^a 3^b 5^c) at which numpy's mixed-radix FFT runs fast.
+unnormalised and the inverse carries 1/N.  They serve the convolver and
+``signals.idft``; ``signals.dft`` calls numpy's ``rfft`` itself, since a
+real signal's upper bins are the conjugates of its lower ones.
+``next_fast_len`` picks the 5-smooth lengths (2^a 3^b 5^c) at which numpy's
+mixed-radix FFT runs fast.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from .kernels import Kernel
 
 DIRECT_CONV_MAX_TAPS = 64  # direct convolution below, FFT at or above
 MIN_TAPS_PER_LOBE = 8
+_NORMAL_MIN = float(np.finfo(float).tiny)  # the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,17 @@ class GridSignal:
     def with_values(self, values: np.ndarray) -> "GridSignal":
         return GridSignal(self.t0, self.dt, values)
 
-    def interior_mask(self, margin: float) -> np.ndarray:
-        """Boolean mask excluding a fraction ``margin`` of samples per side."""
+    def interior(self, margin: float) -> slice:
+        """The samples left once a fraction ``margin`` is excluded per side."""
         if not (0.0 <= margin < 0.5):
             raise ParameterError(f"margin must lie in [0, 0.5), got {margin}")
         k = int(round(margin * self.n))
+        return slice(k, self.n - k)
+
+    def interior_mask(self, margin: float) -> np.ndarray:
+        """Boolean mask of :meth:`interior`."""
         mask = np.zeros(self.n, dtype=bool)
-        mask[k : self.n - k] = True
+        mask[self.interior(margin)] = True
         return mask
 
     def __add__(self, other: "GridSignal") -> "GridSignal":
@@ -241,8 +246,16 @@ def convolve_signal(s: GridSignal, taps: KernelTaps) -> GridSignal:
 
 
 def dft(s: GridSignal) -> Spectrum:
-    """Forward DFT (unnormalised); df = 1 / (N dt)."""
-    return Spectrum(df=1.0 / (s.n * s.dt), bins=_fft.fft(s.values))
+    """Forward DFT (unnormalised); df = 1 / (N dt).
+
+    numpy's ``rfft`` gives bins 0..N/2 and each upper bin N - k is the
+    conjugate of bin k, so the spectrum is exactly Hermitian, as a real
+    signal's is (which lets :func:`spectrum_to_csv` format half of it).
+    """
+    n = s.n
+    half = np.fft.rfft(s.values)
+    bins = np.concatenate([half, half[1 : n - half.size + 1][::-1].conj()])
+    return Spectrum(df=1.0 / (n * s.dt), bins=bins)
 
 
 def idft(sp: Spectrum, t0: float) -> GridSignal:
@@ -254,14 +267,36 @@ def idft(sp: Spectrum, t0: float) -> GridSignal:
 
 # -- CSV interfaces ----------------------------------------------------------
 
+CSV_BLOCK_ROWS = 4096  # rows formatted per call, which bounds the text held at once
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
+
+
+def _table(columns) -> np.ndarray:
+    """Equal-length columns as the columns of one float64 array."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    if len({c.size for c in cols}) > 1:
+        raise ParameterError(f"CSV columns differ in length: {[c.size for c in cols]}")
+    return np.column_stack(cols)
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """CSV text of a block of table rows: ``%.17g`` fields, CRLF line ends."""
+    rows, width = block.shape
+    return (",".join(["%.17g"] * width) + "\r\n") * rows % tuple(block.ravel().tolist())
+
+
 def write_columns_csv(path: str, header: list[str], columns) -> None:
     """Write equal-length columns as CSV: every value as ``%.17g``, which
-    round-trips float64 exactly, and CRLF line ends as ``csv.writer`` writes."""
-    fmt = ",".join(["%.17g"] * len(columns)) + "\r\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    round-trips float64 exactly, and CRLF line ends as ``csv.writer`` writes.
+
+    Columns of different lengths raise ``ParameterError``.  Each block of
+    ``CSV_BLOCK_ROWS`` rows is formatted by one ``%`` operation.
+    """
+    table = _table(columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(fmt % row for row in rows)
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            fh.write(_format_rows(table[start : start + CSV_BLOCK_ROWS]))
 
 
 def signal_to_csv(s: GridSignal, path: str) -> None:
@@ -323,19 +358,91 @@ def signal_from_csv(path: str) -> GridSignal:
     return GridSignal(float(ts[0]), dt, np.asarray(vs))
 
 
+def _mirrors(upper: np.ndarray, mirror: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, whether the upper rows equal their mirror rows bit for bit,
+    and whether they are their exact negations (never with a NaN, which
+    ``%.17g`` prints without its sign).  Bits, not ``==``: 0.0 == -0.0, but
+    the two print as ``0`` and ``-0``."""
+    ubits, mbits = upper.view(np.int64), mirror.view(np.int64)
+    same = (ubits == mbits).all(axis=0)
+    negated = (ubits == mbits ^ _SIGN_BIT).all(axis=0) & ~np.isnan(mirror).any(axis=0)
+    return same, negated
+
+
+def _mirrored_rows(fields: list[str], rows: np.ndarray, same: np.ndarray,
+                   negated: np.ndarray) -> str:
+    """CSV text of ``rows``, whose mirror rows printed as ``fields`` (row-major,
+    the last of them mirroring the first of ``rows``).  A column that mirrors
+    reuses the strings, with the sign toggled where it is negated; any other
+    is formatted."""
+    width = rows.shape[1]
+    cols = []
+    for c in range(width):
+        if same[c]:
+            cols.append(fields[c::width][::-1])
+        elif negated[c]:
+            cols.append([f[1:] if f[0] == "-" else "-" + f for f in fields[c::width][::-1]])
+        else:
+            cols.append(["%.17g" % v for v in rows[:, c].tolist()])
+    return "\r\n".join(map(",".join, zip(*cols))) + "\r\n"
+
+
 def spectrum_to_csv(sp: Spectrum, path: str) -> None:
+    """Write ``freq,re,im,abs`` rows, DC first, every value as ``%.17g``.
+
+    Rows 0..N/2 are formatted.  Row N - k is built from the strings of
+    row k, column by column, wherever the column's upper rows all mirror
+    theirs (see ``_mirrors``); a real signal's spectrum from :func:`dft`
+    mirrors in all four columns.  A column that does not is formatted in
+    full.  The bytes are those of a row-by-row ``%.17g`` write either way;
+    the upper rows' text is held until the lower half is written.
+    """
+    n = sp.n
     # Python's abs(complex), not np.abs: the two differ in the last ulp
-    mags = [abs(b) for b in sp.bins.tolist()]
-    write_columns_csv(path, ["freq", "re", "im", "abs"],
-                      [sp.frequencies, sp.bins.real, sp.bins.imag, mags])
+    mags = np.fromiter(map(abs, sp.bins.tolist()), float, n)
+    table = _table([sp.frequencies, sp.bins.real, sp.bins.imag, mags])
+    half = n // 2
+    same, negated = _mirrors(table[half + 1 :], table[n - half - 1 : 0 : -1])
+    upper = []  # text of the upper rows mirroring each lower block
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("freq,re,im,abs\r\n")
+        for start in range(0, half + 1, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, half + 1)
+            text = _format_rows(table[start:stop])
+            fh.write(text)
+            lo, hi = max(start, 1), min(stop, n - half)  # mirrors of rows n-hi+1..n-lo
+            if lo < hi:
+                fields = text.replace("\r\n", ",").split(",")
+                upper.append(_mirrored_rows(fields[4 * (lo - start) : 4 * (hi - start)],
+                                            table[n - hi + 1 : n - lo + 1], same, negated))
+        fh.writelines(reversed(upper))
+
+
+def l2_norm(values: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D array, bitwise ``np.linalg.norm``'s
+    unless the sum of squares overflows or falls below the normal range.
+
+    Then a nonzero finite array is rescaled by its largest |value|, so a
+    norm that float64 holds comes out finite and accurate.  Overflow
+    warnings are the caller's to silence (``np.errstate(over="ignore")``).
+    """
+    sq = values @ values
+    if _NORMAL_MIN <= sq < math.inf or not values.size:
+        return math.sqrt(sq)
+    scale = float(np.abs(values).max())
+    if not 0.0 < scale < math.inf:
+        return math.sqrt(sq)
+    unit = values / scale
+    return scale * math.sqrt(unit @ unit)
 
 
 def interior_rel_l2(candidate: GridSignal, reference: GridSignal, margin: float) -> float:
-    """Relative L2 distance on the interior mask."""
+    """Relative L2 distance on the interior samples."""
     candidate.require_same_grid(reference)
-    mask = reference.interior_mask(margin)
-    num = float(np.linalg.norm((candidate.values - reference.values)[mask]))
-    den = float(np.linalg.norm(reference.values[mask]))
+    inner = reference.interior(margin)
+    with np.errstate(over="ignore"):
+        num = l2_norm(candidate.values[inner] - reference.values[inner])
+        den = l2_norm(reference.values[inner])
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den

@@ -13,8 +13,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from deconv.cli import main as cli_main
+from deconv import signals
 from deconv.experiments import (
     ExperimentSpec,
+    run_experiment,
     run_fig1,
     run_fig2,
     run_fig3,
@@ -178,12 +180,32 @@ class TestFig3:
             assert c2[:3] == c3[:3]
             assert c2[3] == c3[4]
 
-    def test_determinism_byte_identical(self, tmp_path):
-        a = str(tmp_path / "a"); b = str(tmp_path / "b")
-        run_fig3(ExperimentSpec.fig3(), a)
-        run_fig3(ExperimentSpec.fig3(), b)
-        for name in os.listdir(a):
-            assert filecmp.cmp(os.path.join(a, name), os.path.join(b, name), shallow=False)
+
+@pytest.mark.parametrize("which", ["fig1", "fig2", "fig3"])
+def test_determinism_byte_identical(tmp_path, which):
+    a = str(tmp_path / "a"); b = str(tmp_path / "b")
+    run_experiment(getattr(ExperimentSpec, which)(), a)
+    run_experiment(getattr(ExperimentSpec, which)(), b)
+    for name in os.listdir(a):
+        assert filecmp.cmp(os.path.join(a, name), os.path.join(b, name), shallow=False)
+
+
+def test_figure_spectra_mirror_in_every_column(tmp_path, monkeypatch):
+    # each spectrum fig2 and fig3 write is a real signal's (or the even
+    # Gaussian's), so every row past N/2 is built from its mirror's strings
+    mirrors = signals._mirrors
+    seen = []
+
+    def recording(upper, mirror):
+        same, negated = mirrors(upper, mirror)
+        seen.append(same | negated)
+        return same, negated
+
+    monkeypatch.setattr(signals, "_mirrors", recording)
+    run_experiment(ExperimentSpec.fig2(), str(tmp_path / "fig2"))
+    run_experiment(ExperimentSpec.fig3(), str(tmp_path / "fig3"))
+    assert len(seen) == 9
+    assert all(cols.all() for cols in seen)
 
 
 class TestPeakToFloor:
@@ -324,6 +346,31 @@ class TestCli:
         rep = json.loads(open(rep_path).read())
         assert rep["orders_run"] == 40
         assert rep["interior_rel_l2"] < 0.05
+
+    @pytest.mark.filterwarnings("error")
+    def test_deconv_run_large_finite_signal(self, tmp_path, capsys):
+        # at |values| ~ 1e160 the squares overflow float64, the norms do not
+        from deconv.signals import signal_to_csv
+
+        def finite_only(name):
+            raise ValueError(f"report holds {name}")
+
+        f = sample_function(sin_mix, -6.0, 6.0, 512)
+        reports = []
+        for scale in (1.0, 1e160):
+            s = f.with_values(f.values * scale)
+            in_path = str(tmp_path / "in.csv"); rep_path = str(tmp_path / "rep.json")
+            signal_to_csv(s, in_path)
+            assert cli_main(["deconv", "run", "--family", "gaussian", "--epsilon", "0.3",
+                             "--order", "5", "--in", in_path, "--reference", in_path,
+                             "--out", str(tmp_path / "out.csv"), "--report", rep_path]) == 0
+            assert capsys.readouterr().err == ""
+            with open(rep_path, encoding="utf-8") as fh:
+                reports.append(json.load(fh, parse_constant=finite_only))
+        small, large = reports
+        np.testing.assert_allclose(large["residual_norms"],
+                                   np.multiply(small["residual_norms"], 1e160), rtol=1e-12)
+        assert large["interior_rel_l2"] == pytest.approx(small["interior_rel_l2"], rel=1e-9)
 
     def test_deconv_run_general_kernel_writes_report(self, tmp_path, skew_normal):
         # the CLI's default --parity general: no real transform, so no DC factor

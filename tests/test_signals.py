@@ -7,7 +7,10 @@ from hypothesis import example, given, strategies as st
 
 from deconv.deconvolution import make_sinc_filter
 from deconv.errors import InputError, ParameterError, ResolutionError
+from deconv.experiments import kernel_spectrum
+from deconv.kernels import make_kernel
 from deconv.signals import (
+    CSV_BLOCK_ROWS,
     DIRECT_CONV_MAX_TAPS,
     GridSignal,
     KernelTaps,
@@ -22,8 +25,49 @@ from deconv.signals import (
     signal_from_csv,
     signal_to_csv,
     spectrum_to_csv,
+    write_columns_csv,
 )
 from oracles import direct_dft, signal_from_csv_by_rows
+
+
+def _real_spectrum(seed, n):
+    return dft(GridSignal(0.0, 0.1, np.random.default_rng(seed).normal(size=n)))
+
+
+def _kernel_spectrum(seed, n, family, epsilon):
+    return kernel_spectrum(make_kernel(family), epsilon, _real_spectrum(seed, n))
+
+
+_SPECIAL_BINS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+def _special_spectrum(seed, n, specials, conjugate):
+    """A real signal's spectrum with bins k and N-k set to (a + ib, c + id)
+    for each (a, b, c, d) of ``specials``; to (a + ib, a - ib) if ``conjugate``."""
+    bins = _real_spectrum(seed, n).bins.copy()
+    for k, (a, b, c, d) in zip(range(1, n), specials):
+        bins[k] = complex(a, b)
+        bins[n - k] = complex(a, -b) if conjugate else complex(c, d)
+    return Spectrum(df=0.25, bins=bins)
+
+
+def _complex_spectrum(seed, n):
+    rng = np.random.default_rng(seed)
+    return Spectrum(df=0.5, bins=rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+_SEEDS = st.integers(0, 2**31 - 1)
+# two lengths past two blocks of rows exercise the block boundaries
+_LENGTHS = st.integers(2, 70) | st.sampled_from(
+    [2048, 2731, 2 * CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 2])
+_SPECTRA = st.one_of(
+    st.builds(_real_spectrum, _SEEDS, _LENGTHS),
+    st.builds(_kernel_spectrum, _SEEDS, st.integers(2, 70),
+              st.sampled_from(["gaussian", "bump"]), st.sampled_from([0.05, 0.55, 0.9])),
+    st.builds(_special_spectrum, _SEEDS, st.integers(2, 70),
+              st.lists(st.tuples(*[_SPECIAL_BINS] * 4), max_size=6), st.booleans()),
+    st.builds(_complex_spectrum, _SEEDS, st.integers(2, 70)),
+)
 
 
 class TestGridSignal:
@@ -204,13 +248,20 @@ class TestSpectra:
         assert np.abs(back.values - s.values).max() < 1e-10
         assert back.t0 == s.t0 and abs(back.dt - s.dt) < 1e-15
 
-    @given(st.integers(0, 2**31 - 1))
-    def test_conjugate_symmetry(self, seed):
-        vals = np.random.default_rng(seed).normal(size=128)
-        sp = dft(GridSignal(0.0, 0.1, vals))
-        k = np.arange(1, 128)
-        assert np.abs(sp.bins[k] - np.conj(sp.bins[128 - k])).max() < 1e-10 * max(
-            1.0, np.abs(sp.bins).max())
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 300))
+    @example(seed=0, n=2)
+    @example(seed=0, n=3)
+    def test_conjugate_symmetry(self, seed, n):
+        vals = np.random.default_rng(seed).normal(size=n)
+        bins = dft(GridSignal(0.0, 0.1, vals)).bins
+        k = np.arange(n // 2 + 1, n)  # every bin above N/2 against its mirror
+        assert bins[k].tobytes() == np.conj(bins[n - k]).tobytes()
+
+    @pytest.mark.parametrize("n", [2001, 2048, 2731])
+    def test_matches_direct_dft(self, n, rng):
+        vals = rng.normal(size=n)
+        bins = dft(GridSignal(0.0, 0.1, vals)).bins
+        assert np.abs(bins - direct_dft(vals)).max() < 1e-13 * np.abs(bins).max()
 
     def test_frequencies_signed(self):
         sp = dft(GridSignal(0.0, 1.0, np.zeros(8)))
@@ -270,6 +321,29 @@ class TestCsv:
         rows = ((f, b.real, b.imag, abs(b)) for f, b in zip(sp.frequencies, sp.bins))
         self.reference_csv(str(tmp_path / "ref.csv"), ["freq", "re", "im", "abs"], rows)
         assert (tmp_path / "sp.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @given(sp=_SPECTRA)
+    @example(sp=_real_spectrum(0, 2048))
+    @example(sp=_real_spectrum(0, 2731))
+    @example(sp=_real_spectrum(0, 2 * CSV_BLOCK_ROWS + 2))
+    @example(sp=_kernel_spectrum(0, 64, "gaussian", 0.55))
+    @example(sp=_kernel_spectrum(0, 65, "bump", 0.9))
+    @example(sp=_special_spectrum(0, 9, [(0.0, 0.0, 0, 0), (-0.0, -0.0, 0, 0),
+                                         (math.inf, -math.inf, 0, 0)], True))
+    @example(sp=_special_spectrum(0, 10, [(math.nan, 1.0, 0, 0), (1.0, math.nan, 0, 0)], True))
+    @example(sp=_special_spectrum(0, 9, [(0.0, 1.0, -0.0, -1.0)], False))  # 0.0 == -0.0
+    @example(sp=_complex_spectrum(0, 7))
+    def test_spectrum_csv_bytes_match_row_writer(self, sp, tmp_path_factory):
+        # rows N-k are built from the strings of row k wherever a column mirrors
+        base = tmp_path_factory.getbasetemp()
+        spectrum_to_csv(sp, str(base / "sp.csv"))
+        rows = ((f, b.real, b.imag, abs(b)) for f, b in zip(sp.frequencies, sp.bins.tolist()))
+        self.reference_csv(str(base / "ref.csv"), ["freq", "re", "im", "abs"], rows)
+        assert (base / "sp.csv").read_bytes() == (base / "ref.csv").read_bytes()
+
+    def test_columns_of_different_lengths_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match=r"\[3, 1\]"):
+            write_columns_csv(str(tmp_path / "c.csv"), ["a", "b"], [[1, 2, 3], [4]])
 
 
 # -- signal_from_csv against the row-by-row reader on generated files ---------
