@@ -147,10 +147,9 @@ def inverse_operator(
     last_unorm = math.inf  # the interior update norm, read by auto_stop only
     grow_streak = 0
     orders_run = n
-    m = 0
     # a finite norm implies finite samples, so only a non-finite one is checked
     with np.errstate(over="ignore", invalid="ignore"):
-        while m < n:
+        for m in range(n + 1):
             r = g.values - conv.apply(x)
             rn = l2_norm(r)
             if not math.isfinite(rn) and not np.isfinite(r).all():
@@ -159,6 +158,8 @@ def inverse_operator(
                     iteration=m,
                 )
             residuals[m] = rn
+            if m == orders_run:  # the residual of the final iterate closes the trace
+                break
             x += r
             if cfg.auto_stop:
                 unorm = l2_norm(r[inner])
@@ -170,18 +171,6 @@ def inverse_operator(
                         f"auto-stop at order {m + 1}: interior update norm grew for "
                         "3 consecutive orders (numerical noise floor)"
                     )
-                    break
-            m += 1
-        # close the trace with the residual of the final iterate
-        final_r = g.values - conv.apply(x)
-        rn = l2_norm(final_r)
-    if not math.isfinite(rn) and not np.isfinite(final_r).all():
-        raise DivergenceError(
-            f"non-finite intermediate at order {orders_run}; kernel is far "
-            "from admissible",
-            iteration=orders_run,
-        )
-    residuals[orders_run] = rn
     residuals = residuals[: orders_run + 1]
 
     rec = g.with_values(x)

@@ -84,11 +84,7 @@ class ExperimentSpec:
 
     @classmethod
     def fig3(cls, **overrides) -> "ExperimentSpec":
-        base = cls(
-            experiment="fig3", kernel_family="gaussian", epsilon=0.55, order=90,
-            taylor_degree=0, t0=-6.0, t1=6.0, n_samples=2048,
-        )
-        return replace(base, **overrides)
+        return cls.fig2(**{"experiment": "fig3", **overrides})
 
     def kernel(self) -> Kernel:
         return make_kernel(self.kernel_family)
@@ -114,6 +110,13 @@ def taylor_sin_mix(degree: int) -> Polynomial1D:
     for k in range(1, int(degree) + 1, 2):
         coeffs[k] = (-1) ** ((k - 1) // 2) * (5**k + 3**k) / math.factorial(k)
     return Polynomial1D(coeffs)
+
+
+def _smoothed_sin_mix(spec: ExperimentSpec) -> tuple[Kernel, GridSignal, GridSignal]:
+    """The spec's kernel, the sampled sin mix and its smoothed samples."""
+    kernel = spec.kernel()
+    f = sample_function(sin_mix, spec.t0, spec.t1, spec.n_samples)
+    return kernel, f, convolve_signal(f, discretize_kernel(kernel, spec.epsilon, f.dt))
 
 
 # -- output helpers -----------------------------------------------------------
@@ -148,11 +151,9 @@ def spectral_peak_to_floor(
     lo, hi = max(0, k - 2), min(half, k + 2) + 1
     peak_idx = lo + int(np.argmax(mags[lo:hi]))
     peak = float(mags[peak_idx])
-    sel = []
-    for i in range(max(0, k - band), min(half, k + band) + 1):
-        if abs(i - peak_idx) > exclude:
-            sel.append(mags[i])
-    floor = float(np.median(sel)) if sel else 0.0
+    idx = np.arange(max(0, k - band), min(half, k + band) + 1)
+    sel = mags[idx[np.abs(idx - peak_idx) > exclude]]
+    floor = float(np.median(sel)) if sel.size else 0.0
     return {
         "angular_freq": angular_freq,
         "bin": peak_idx,
@@ -214,16 +215,11 @@ def run_fig1(spec: ExperimentSpec, out_dir: str) -> dict:
         ["t", "abs_error"],
         [sampled.times, abs_err],
     )
-    with open(os.path.join(out_dir, "fig1_coefficients.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "original": [float(c) for c in p.coeffs],
-                "convolved": [float(c) for c in q.coeffs],
-                "inverted": [float(c) for c in r.coeffs],
-            },
-            fh, sort_keys=True, indent=2,
-        )
-        fh.write("\n")
+    _write_summary(os.path.join(out_dir, "fig1_coefficients.json"), {
+        "original": p.coeffs.tolist(),
+        "convolved": q.coeffs.tolist(),
+        "inverted": r.coeffs.tolist(),
+    })
 
     summary = {
         "config": spec.to_dict(),
@@ -249,10 +245,7 @@ def run_fig2(spec: ExperimentSpec, out_dir: str) -> dict:
     if spec.experiment != "fig2":
         raise ParameterError(f"spec is for {spec.experiment!r}, expected 'fig2'")
     os.makedirs(out_dir, exist_ok=True)
-    kernel = spec.kernel()
-    f = sample_function(sin_mix, spec.t0, spec.t1, spec.n_samples)
-    taps = discretize_kernel(kernel, spec.epsilon, f.dt)
-    smoothed = convolve_signal(f, taps)
+    kernel, f, smoothed = _smoothed_sin_mix(spec)
     cfg = DeconvConfig(kernel, spec.epsilon, spec.order, edge_margin=spec.edge_margin)
     rep = inverse_operator(cfg, smoothed, reference=f)
     recon = rep.reconstructed
@@ -305,10 +298,7 @@ def run_fig3(spec: ExperimentSpec, out_dir: str) -> dict:
     if spec.noise_variance < 0:
         raise ParameterError(f"noise variance must be >= 0, got {spec.noise_variance}")
     os.makedirs(out_dir, exist_ok=True)
-    kernel = spec.kernel()
-    f = sample_function(sin_mix, spec.t0, spec.t1, spec.n_samples)
-    taps = discretize_kernel(kernel, spec.epsilon, f.dt)
-    smoothed = convolve_signal(f, taps)
+    kernel, f, smoothed = _smoothed_sin_mix(spec)
     rng = np.random.default_rng(spec.noise_seed)
     noise = rng.normal(0.0, math.sqrt(spec.noise_variance), f.n) if spec.noise_variance > 0 \
         else np.zeros(f.n)

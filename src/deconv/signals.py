@@ -251,9 +251,13 @@ def dft(s: GridSignal) -> Spectrum:
     numpy's ``rfft`` gives bins 0..N/2 and each upper bin N - k is the
     conjugate of bin k, so the spectrum is exactly Hermitian, as a real
     signal's is (which lets :func:`spectrum_to_csv` format half of it).
+    A bin past float64 raises ParameterError.
     """
     n = s.n
-    half = np.fft.rfft(s.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.fft.rfft(s.values)
+    if not np.isfinite(half).all():
+        raise ParameterError(f"the spectrum of these {n} finite samples overflows float64")
     bins = np.concatenate([half, half[1 : n - half.size + 1][::-1].conj()])
     return Spectrum(df=1.0 / (n * s.dt), bins=bins)
 
@@ -399,7 +403,10 @@ def spectrum_to_csv(sp: Spectrum, path: str) -> None:
     """
     n = sp.n
     # Python's abs(complex), not np.abs: the two differ in the last ulp
-    mags = np.fromiter(map(abs, sp.bins.tolist()), float, n)
+    try:
+        mags = np.fromiter(map(abs, sp.bins.tolist()), float, n)
+    except OverflowError:
+        raise ParameterError("the modulus of a finite spectrum bin overflows float64") from None
     table = _table([sp.frequencies, sp.bins.real, sp.bins.imag, mags])
     half = n // 2
     same, negated = _mirrors(table[half + 1 :], table[n - half - 1 : 0 : -1])

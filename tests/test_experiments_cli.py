@@ -397,6 +397,22 @@ class TestCli:
         assert summary["config"]["order"] == 5
         assert summary["config"]["epsilon"] == 0.55
 
+    def test_experiment_flags_reach_config(self, tmp_path, capsys):
+        assert cli_main(["experiment", "fig3", "--out", str(tmp_path), "--order", "3",
+                         "--grid=-6:6:512", "--epsilon", "0.5", "--variance", "0.25",
+                         "--seed", "7"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["epsilon"], config["noise_variance"], config["noise_seed"]) \
+            == (0.5, 0.25, 7)
+
+    def test_experiment_degree_sets_taylor_degree(self, tmp_path, capsys):
+        assert cli_main(["experiment", "fig1", "--out", str(tmp_path), "--degree", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out == (tmp_path / "summary.json").read_text(encoding="utf-8")
+        summary = json.loads(out)
+        assert summary["config"]["taylor_degree"] == 1
+        assert summary["coefficient_roundtrip_rel_error"] == 0.0
+
     def test_numeric_error_exit_code_and_json(self, tmp_path, capsys):
         p_path = str(tmp_path / "p.json")
         open(p_path, "w").write("[1.0, 2.0]")
@@ -472,15 +488,21 @@ class TestCli:
          {"dim": 2, "terms": [{"alpha": [200, 200], "coeff": 1}]}, "the smoothed polynomial"),
         (["kernel", "moments", "--family", "tabulated", "--kernel-csv", "{path}"],
          "x,value\n-1e200,0\n0,1\n1e200,0\n", "moment c_2"),
+        # signal dft: rfft's bin 0 overflows; then every bin is finite, bin 1's modulus is not
+        (["signal", "dft", "--in", "{path}", "--out", "{out}"],
+         "t,value\n0,1.5e308\n1,0\n2,0\n3,1.5e308\n", "the spectrum"),
+        (["signal", "dft", "--in", "{path}", "--out", "{out}"],
+         "t,value\n0,7.5e307\n1,-7.5e307\n2,-7.5e307\n3,7.5e307\n", "the modulus"),
     ], ids=["bump-inverse", "gaussian-moment", "bump-map", "2d-smoothed", "2d-smoothed-conv",
-            "tabulated-moment"])
+            "tabulated-moment", "dft-rfft", "dft-modulus"])
     def test_float64_overflow_is_one_parameter_error(self, tmp_path, capsys, argv, content,
                                                       what):
         path = tmp_path / "input"
         path.write_text(content if isinstance(content, str) else json.dumps(content))
-        assert cli_main([str(path) if a == "{path}" else a for a in argv]) == 1
+        paths = {"{path}": str(path), "{out}": str(tmp_path / "out")}
+        assert cli_main([paths.get(a, a) for a in argv]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == "" and not (tmp_path / "out").exists()
         lines = captured.err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
@@ -491,6 +513,13 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["poly", "conv", "--no-such-flag"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("grid", ["1:2", "1:2:3:4", "a:2:3", "-6:6:1.5"])
+    def test_malformed_grid_is_usage_error(self, grid, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["experiment", "fig2", "--out", "unused", f"--grid={grid}"])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
 
     def test_config_file_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -555,6 +584,7 @@ def _encoded(texts):
 @example(case=(JSON_COMMANDS[0], b"[1.0, 2.0\xff]"))
 @example(case=(JSON_COMMANDS[1], b'{"dim": 2, "terms": [{"alpha": [1, 0], "coeff": 1}]}'))
 @example(case=(CSV_COMMANDS[1], b"x,value\n-1e200,0\n0,1\n1e200,0\n"))
+@example(case=(CSV_COMMANDS[0], b"t,value\n0,1.5e308\n1,0\n2,0\n3,1.5e308\n"))
 def test_cli_exit_code_and_stderr_on_generated_files(case):
     argv, content = case
     stderr = io.StringIO()

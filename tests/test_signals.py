@@ -263,6 +263,13 @@ class TestSpectra:
         bins = dft(GridSignal(0.0, 0.1, vals)).bins
         assert np.abs(bins - direct_dft(vals)).max() < 1e-13 * np.abs(bins).max()
 
+    # bin 0, 1.5e308 + 1.5e308, is past float64; then bin 2 is inf - inf
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [[1.5e308, 0.0, 0.0, 1.5e308], [1.7e308] * 4])
+    def test_dft_overflow_is_parameter_error(self, values):
+        with pytest.raises(ParameterError, match="spectrum .* overflows float64"):
+            dft(GridSignal(0.0, 1.0, np.array(values)))
+
     def test_frequencies_signed(self):
         sp = dft(GridSignal(0.0, 1.0, np.zeros(8)))
         assert sp.frequencies[0] == 0.0
@@ -340,6 +347,14 @@ class TestCsv:
         rows = ((f, b.real, b.imag, abs(b)) for f, b in zip(sp.frequencies, sp.bins.tolist()))
         self.reference_csv(str(base / "ref.csv"), ["freq", "re", "im", "abs"], rows)
         assert (base / "sp.csv").read_bytes() == (base / "ref.csv").read_bytes()
+
+    def test_spectrum_modulus_overflow_is_parameter_error(self, tmp_path):
+        # bin 1 is finite, its modulus sqrt(2) * 1.5e308 is not
+        sp = Spectrum(df=1.0, bins=np.array([0, 1.5e308 + 1.5e308j, 0, 1.5e308 - 1.5e308j]))
+        path = tmp_path / "sp.csv"
+        with pytest.raises(ParameterError, match="modulus .* overflows float64"):
+            spectrum_to_csv(sp, str(path))
+        assert not path.exists()
 
     def test_columns_of_different_lengths_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match=r"\[3, 1\]"):
