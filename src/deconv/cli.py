@@ -18,11 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
 from .deconvolution import DeconvConfig, inverse_operator, spectral_factor
-from .errors import DeconvError, InputError
+from .errors import DeconvError, InputError, ParameterError
 from .experiments import ExperimentSpec, run_experiment
 from .kernels import Kernel, make_kernel
 from .multipoly import MultiPolynomial, convolve_multipoly, invert_multipoly
@@ -64,11 +66,12 @@ def _load_poly(path: str) -> Polynomial1D | MultiPolynomial:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _fmt(x: float) -> str:
@@ -105,29 +108,24 @@ def _cmd_kernel_check(args) -> int:
 
 # -- poly ---------------------------------------------------------------------
 
-def _cmd_poly(args, action: str) -> int:
+def _cmd_poly(args) -> int:
     k = _kernel_from_args(args)
     p = _load_poly(args.infile)
     if isinstance(p, MultiPolynomial):
-        if action == "conv":
-            out = convolve_multipoly(k, args.epsilon, p)
-        elif action == "deconv":
-            out = invert_multipoly(k, args.epsilon, p)
-        else:
-            cur = p
-            for _ in range(args.k):
-                cur = convolve_multipoly(k, args.epsilon, cur)
-            out = cur
-        _write_text(args.out, out.to_json())
-        return 0
-    op = ConvOperator(k, args.epsilon, max_degree=max(p.coeffs.size - 1, 1))
-    if action == "conv":
-        out = op.convolve(p)
-    elif action == "deconv":
-        out = op.invert(p)
+        smooth = partial(convolve_multipoly, k, args.epsilon)
+        invert = partial(invert_multipoly, k, args.epsilon)
     else:
-        out = op.iterate(p, args.k)
-    _write_text(args.out, out.to_json())
+        op = ConvOperator(k, args.epsilon, max_degree=max(p.coeffs.size - 1, 1))
+        smooth, invert = op.convolve, op.invert
+    if args.action == "deconv":
+        p = invert(p)
+    else:
+        times = args.k if args.action == "iterate" else 1
+        if times < 0:
+            raise ParameterError(f"iteration count must be a nonnegative integer, got {times}")
+        for _ in range(times):
+            p = smooth(p)
+    _write_text(args.out, p.to_json())
     return 0
 
 
@@ -152,24 +150,14 @@ def _cmd_signal_dft(args) -> int:
 def _cmd_deconv_run(args) -> int:
     k = _kernel_from_args(args)
     g = signal_from_csv(args.infile)
-    cfg = DeconvConfig(
-        kernel=k, epsilon=args.epsilon, order=args.order,
-        edge_margin=args.edge_margin,
-        admissibility_check=not args.no_admissibility_check,
-        auto_stop=args.auto_stop,
-    )
+    settings = {name: getattr(args, name) for name in (
+        "epsilon", "order", "edge_margin", "admissibility_check", "auto_stop")}
+    cfg = DeconvConfig(kernel=k, **settings)
     reference = signal_from_csv(args.reference) if args.reference else None
     rep = inverse_operator(cfg, g, reference=reference)
     signal_to_csv(rep.reconstructed, args.out)
     summary = rep.to_json_dict()
-    summary["config"] = {
-        "kernel_family": args.family,
-        "epsilon": args.epsilon,
-        "order": args.order,
-        "edge_margin": args.edge_margin,
-        "admissibility_check": not args.no_admissibility_check,
-        "auto_stop": args.auto_stop,
-    }
+    summary["config"] = {"kernel_family": args.family, **settings}
     if k.parity == "even":  # a general kernel has no real transform
         summary["spectral_factor_dc"] = float(spectral_factor(cfg, 0.0))
     if args.report:
@@ -189,21 +177,10 @@ def _grid(text: str) -> dict:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {}
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.order is not None:
-        overrides["order"] = args.order
-    if args.seed is not None:
-        overrides["noise_seed"] = args.seed
-    if args.variance is not None:
-        overrides["noise_variance"] = args.variance
-    if args.degree is not None:
-        overrides["taylor_degree"] = args.degree
-    if args.grid is not None:
-        overrides.update(args.grid)
-    maker = getattr(ExperimentSpec, args.which)
-    spec = maker(**overrides)
+    # absent flags are not in the namespace; present ones are named after their field
+    names = {f.name for f in fields(ExperimentSpec)}
+    overrides = {name: v for name, v in vars(args).items() if name in names}
+    spec = getattr(ExperimentSpec, args.which)(**overrides, **args.grid)
     summary = run_experiment(spec, args.out)
     sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return 0
@@ -259,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--out", default=None)
         if action == "iterate":
             pp.add_argument("--k", type=int, required=True)
-        pp.set_defaults(func=lambda a, _act=action: _cmd_poly(a, _act))
+        pp.set_defaults(func=_cmd_poly)
 
     sig = sub.add_parser("signal", help="sampled-signal smoothing and spectra")
     ssub = sig.add_subparsers(dest="action", required=True)
@@ -285,19 +262,22 @@ def build_parser() -> argparse.ArgumentParser:
     dr.add_argument("--report", default=None, help="summary JSON path")
     dr.add_argument("--reference", default=None, help="clean signal CSV for error metrics")
     dr.add_argument("--edge-margin", type=float, default=0.1)
-    dr.add_argument("--no-admissibility-check", action="store_true")
+    dr.add_argument("--no-admissibility-check", dest="admissibility_check",
+                    action="store_false")
     dr.add_argument("--auto-stop", action="store_true")
     dr.set_defaults(func=_cmd_deconv_run)
 
-    exp = sub.add_parser("experiment", help="bundled experiments")
+    exp = sub.add_parser("experiment", help="bundled experiments",
+                         argument_default=argparse.SUPPRESS)
     exp.add_argument("which", choices=["fig1", "fig2", "fig3"])
     exp.add_argument("--out", required=True, help="output directory")
-    exp.add_argument("--epsilon", type=float, default=None)
-    exp.add_argument("--order", type=int, default=None)
-    exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--variance", type=float, default=None)
-    exp.add_argument("--degree", type=int, default=None, help="fig1 Taylor degree")
-    exp.add_argument("--grid", type=_grid, default=None, help="t0:t1:n override")
+    exp.add_argument("--epsilon", type=float)
+    exp.add_argument("--order", type=int)
+    exp.add_argument("--seed", dest="noise_seed", metavar="SEED", type=int)
+    exp.add_argument("--variance", dest="noise_variance", metavar="VARIANCE", type=float)
+    exp.add_argument("--degree", dest="taylor_degree", metavar="DEGREE", type=int,
+                     help="fig1 Taylor degree")
+    exp.add_argument("--grid", type=_grid, default={}, help="t0:t1:n override")
     exp.set_defaults(func=_cmd_experiment)
 
     return root
@@ -317,7 +297,7 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
     injected: list[str] = []
     for key, value in data.items():
         flag = "--" + str(key).replace("_", "-")
-        if isinstance(value, bool):
+        if value is None or isinstance(value, bool):  # null, like false, injects nothing
             if value:
                 injected.append(flag)
         else:

@@ -153,6 +153,9 @@ def inverse_operator(
             r = g.values - conv.apply(x)
             rn = l2_norm(r)
             if not math.isfinite(rn) and not np.isfinite(r).all():
+                if m == 0:  # no iteration has run: g - T g itself is past float64
+                    raise ParameterError(
+                        f"the convolution of these {g.n} finite samples overflows float64")
                 raise DivergenceError(
                     f"non-finite intermediate at order {m}; kernel is far from admissible",
                     iteration=m,

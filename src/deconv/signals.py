@@ -239,10 +239,17 @@ class TapsConvolver:
 
 
 def convolve_signal(s: GridSignal, taps: KernelTaps) -> GridSignal:
-    """Zero-pad, linearly convolve with the taps, crop back to s's window."""
+    """Zero-pad, linearly convolve with the taps, crop back to s's window.
+
+    A result past float64 raises ParameterError.
+    """
     if taps.dt != s.dt:
         raise ParameterError(f"tap spacing {taps.dt} does not match signal dt {s.dt}")
-    return s.with_values(TapsConvolver(taps, s.n).apply(s.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = TapsConvolver(taps, s.n).apply(s.values)
+    if not np.isfinite(out).all():
+        raise ParameterError(f"the convolution of these {s.n} finite samples overflows float64")
+    return s.with_values(out)
 
 
 def dft(s: GridSignal) -> Spectrum:

@@ -223,6 +223,10 @@ class TestPeakToFloor:
         assert d["ratio"] < 10.0
 
 
+X_SQUARED = ["[0.0, 0.0, 1.0]", '{"dim": 2, "terms": [{"alpha": [2, 0], "coeff": 1.0}]}']
+HUGE_SIGNAL_CSV = "t,value\n" + "".join(f"{i / 100!r},1.7e308\n" for i in range(200))
+
+
 class TestCli:
     def test_kernel_moments_values(self, capsys):
         assert cli_main(["kernel", "moments", "--family", "gaussian", "--max-m", "4"]) == 0
@@ -307,16 +311,34 @@ class TestCli:
                          "--in", in_path, "--out", out_path]) == 0
         assert json.loads(open(out_path).read()) == expected
 
-    def test_poly_iterate_multi(self, tmp_path):
-        mp_path = str(tmp_path / "mp.json")
-        out_path = str(tmp_path / "out.json")
-        open(mp_path, "w").write(
-            '{"dim": 2, "terms": [{"alpha": [2, 0], "coeff": 1.0}]}')
-        assert cli_main(["poly", "conv", "--family", "gaussian", "--epsilon", "1.0",
-                         "--in", mp_path, "--out", out_path]) == 0
-        data = json.loads(open(out_path).read())
-        consts = [t for t in data["terms"] if t["alpha"] == [0, 0]]
-        assert abs(consts[0]["coeff"] - 2.0) < 1e-9
+    @pytest.mark.parametrize("text", X_SQUARED, ids=["1d", "2d"])
+    def test_poly_iterate_is_chained_conv(self, tmp_path, text):
+        # x^2 under the unit Gaussian at eps = 1 is x^2 + 2, so T^2 x^2 = x^2 + 4
+        (tmp_path / "p0.json").write_text(text)
+        flags = ["--family", "gaussian", "--epsilon", "1.0"]
+        for j in (1, 2):
+            assert cli_main(["poly", "conv", *flags, "--in", str(tmp_path / f"p{j - 1}.json"),
+                             "--out", str(tmp_path / f"p{j}.json")]) == 0
+        out = tmp_path / "out.json"
+        assert cli_main(["poly", "iterate", *flags, "--k", "2",
+                         "--in", str(tmp_path / "p0.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "p2.json").read_bytes()
+        data = json.loads(out.read_text())
+        const = data[0] if isinstance(data, list) else \
+            next(t["coeff"] for t in data["terms"] if t["alpha"] == [0, 0])
+        assert abs(const - 4.0) < 1e-9
+
+    @pytest.mark.parametrize("text", X_SQUARED, ids=["1d", "2d"])
+    def test_poly_iterate_negative_k(self, tmp_path, capsys, text):
+        (tmp_path / "p.json").write_text(text)
+        out = tmp_path / "out.json"
+        assert cli_main(["poly", "iterate", "--epsilon", "1.0", "--k", "-1",
+                         "--in", str(tmp_path / "p.json"), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [{
+            "error": "ParameterError",
+            "message": "iteration count must be a nonnegative integer, got -1"}]
+        assert not out.exists()
 
     def test_signal_conv_and_dft(self, tmp_path):
         s = sample_function(lambda t: np.sin(2 * np.pi * t), 0.0, 1.0, 256)
@@ -396,6 +418,13 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["config"]["order"] == 5
         assert summary["config"]["epsilon"] == 0.55
+        assert summary["grids_are_package_defaults"] is False
+
+    def test_grid_is_default(self):
+        assert ExperimentSpec.fig1().grid_is_default()
+        assert ExperimentSpec.fig3(t0=-6.0, t1=6.0, n_samples=2048, order=5).grid_is_default()
+        assert not ExperimentSpec.fig2(n_samples=512).grid_is_default()
+        assert not ExperimentSpec.fig1(t0=-6.0, t1=6.0, n_samples=2048).grid_is_default()
 
     def test_experiment_flags_reach_config(self, tmp_path, capsys):
         assert cli_main(["experiment", "fig3", "--out", str(tmp_path), "--order", "3",
@@ -493,8 +522,13 @@ class TestCli:
          "t,value\n0,1.5e308\n1,0\n2,0\n3,1.5e308\n", "the spectrum"),
         (["signal", "dft", "--in", "{path}", "--out", "{out}"],
          "t,value\n0,7.5e307\n1,-7.5e307\n2,-7.5e307\n3,7.5e307\n", "the modulus"),
+        # 200 samples of 1.7e308: the smoothed values are finite, the FFT's DC bin is not
+        (["signal", "conv", "--epsilon", "0.3", "--in", "{path}", "--out", "{out}"],
+         HUGE_SIGNAL_CSV, "the convolution"),
+        (["deconv", "run", "--epsilon", "0.3", "--order", "3", "--in", "{path}",
+          "--out", "{out}"], HUGE_SIGNAL_CSV, "the convolution"),
     ], ids=["bump-inverse", "gaussian-moment", "bump-map", "2d-smoothed", "2d-smoothed-conv",
-            "tabulated-moment", "dft-rfft", "dft-modulus"])
+            "tabulated-moment", "dft-rfft", "dft-modulus", "signal-conv", "deconv-order-0"])
     def test_float64_overflow_is_one_parameter_error(self, tmp_path, capsys, argv, content,
                                                       what):
         path = tmp_path / "input"
@@ -527,6 +561,20 @@ class TestCli:
         assert cli_main(["kernel", "moments", "--config", str(cfg)]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 4  # header + m = 0, 1, 2
+
+    def test_config_null_keeps_the_default(self, tmp_path, monkeypatch):
+        # a JSON null is no value: it must not be read as the path "None"
+        monkeypatch.chdir(tmp_path)
+        from deconv.signals import signal_to_csv
+        signal_to_csv(sample_function(np.sin, 0.0, 1.0, 64), "g.csv")
+        (tmp_path / "cfg.json").write_text('{"report": null, "epsilon": null}')
+        run = ["deconv", "run", "--config", "cfg.json", "--order", "2", "--in", "g.csv",
+               "--out", "rec.csv"]
+        assert cli_main(run + ["--epsilon", "0.3"]) == 0
+        assert (tmp_path / "rec.csv").exists() and not (tmp_path / "None").exists()
+        with pytest.raises(SystemExit) as exc:  # a required flag stays missing
+            cli_main(run)
+        assert exc.value.code == 2
 
 
 # -- the CLI contract on generated input files ----------------------------------
