@@ -33,10 +33,12 @@ from .signals import (
     convolve_signal,
     dft,
     discretize_kernel,
-    sample_function,
+    open_output,
     signal_from_csv,
     signal_to_csv,
     spectrum_to_csv,
+    write_columns_csv,
+    write_json,
 )
 
 
@@ -56,53 +58,34 @@ def _kernel_from_args(args: argparse.Namespace) -> Kernel:
 def _load_poly(path: str) -> Polynomial1D | MultiPolynomial:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
-    data = json.loads(text)
     if isinstance(data, dict) and data.get("dim", 1) != 1:
-        return MultiPolynomial.from_json(text)
-    return Polynomial1D.from_json(text)
-
-
-def _write_text(path: str | None, text: str) -> None:
-    text = text if text.endswith("\n") else text + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+        return MultiPolynomial.from_data(data)
+    return Polynomial1D.from_data(data)
 
 
 # -- kernel -------------------------------------------------------------------
 
 def _cmd_kernel_moments(args) -> int:
     k = _kernel_from_args(args)
-    lines = ["m,moment"]
-    for m in range(args.max_m + 1):
-        lines.append(f"{m},{_fmt(k.moment(m))}")
-    _write_text(args.out, "\n".join(lines))
+    ms = range(args.max_m + 1)
+    write_columns_csv(args.out, ["m", "moment"], [ms, [k.moment(m) for m in ms]])
     return 0
 
 
 def _cmd_kernel_fourier(args) -> int:
     k = _kernel_from_args(args)
     xis = np.linspace(-args.xi_max, args.xi_max, args.n_grid)
-    vals = k.fourier_grid(args.epsilon, xis)
-    lines = ["xi,value"]
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xis, vals)]
-    _write_text(args.out, "\n".join(lines))
+    write_columns_csv(args.out, ["xi", "value"], [xis, k.fourier_grid(args.epsilon, xis)])
     return 0
 
 
 def _cmd_kernel_check(args) -> int:
     k = _kernel_from_args(args)
     rep = k.check_admissible(args.epsilon, args.xi_max, args.n_grid)
-    _write_text(args.out, json.dumps(rep.to_dict(), sort_keys=True, indent=2))
+    write_json(args.out, rep.to_dict())
     return 0
 
 
@@ -125,7 +108,8 @@ def _cmd_poly(args) -> int:
             raise ParameterError(f"iteration count must be a nonnegative integer, got {times}")
         for _ in range(times):
             p = smooth(p)
-    _write_text(args.out, p.to_json())
+    with open_output(args.out) as fh:
+        fh.write(p.to_json() + "\n")
     return 0
 
 
@@ -161,7 +145,7 @@ def _cmd_deconv_run(args) -> int:
     if k.parity == "even":  # a general kernel has no real transform
         summary["spectral_factor_dc"] = float(spectral_factor(cfg, 0.0))
     if args.report:
-        _write_text(args.report, json.dumps(summary, sort_keys=True, indent=2))
+        write_json(args.report, summary)
     return 0
 
 
@@ -181,8 +165,7 @@ def _cmd_experiment(args) -> int:
     names = {f.name for f in fields(ExperimentSpec)}
     overrides = {name: v for name, v in vars(args).items() if name in names}
     spec = getattr(ExperimentSpec, args.which)(**overrides, **args.grid)
-    summary = run_experiment(spec, args.out)
-    sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(None, run_experiment(spec, args.out))
     return 0
 
 
@@ -300,8 +283,8 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
         if value is None or isinstance(value, bool):  # null, like false, injects nothing
             if value:
                 injected.append(flag)
-        else:
-            injected += [flag, str(value)]
+        else:  # one word, so that a value starting with "-" is not read as a flag
+            injected.append(f"{flag}={value}")
     # keep subcommand words first: find the position after the last positional
     rest = [a for j, a in enumerate(argv) if j not in (i, i + 1)]
     split = 0

@@ -16,7 +16,6 @@ identical parameters (including the seed) produce byte-identical outputs.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
@@ -39,10 +38,10 @@ from .signals import (
     convolve_signal,
     dft,
     discretize_kernel,
-    interior_rel_l2,
     sample_function,
     spectrum_to_csv,
     write_columns_csv,
+    write_json,
 )
 
 SIN_MIX_ANGULAR_FREQS = (3.0, 5.0)
@@ -125,10 +124,31 @@ def _smoothed_sin_mix(spec: ExperimentSpec) -> tuple[Kernel, GridSignal, GridSig
 
 # -- output helpers -----------------------------------------------------------
 
-def _write_summary(path: str, summary: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+class _Outputs:
+    """One run's output directory: the files written into it, then its summary."""
+
+    def __init__(self, spec: ExperimentSpec, which: str, out_dir: str):
+        if spec.experiment != which:
+            raise ParameterError(f"spec is for {spec.experiment!r}, expected {which!r}")
+        os.makedirs(out_dir, exist_ok=True)
+        self.spec, self.out_dir, self.names = spec, out_dir, []
+
+    def __call__(self, name: str) -> str:
+        """The path of output ``name``, listed in the summary's ``outputs``."""
+        self.names.append(name)
+        return os.path.join(self.out_dir, name)
+
+    def summary(self, fields: dict) -> dict:
+        """``fields`` with the run's config, grid flag and outputs, also
+        written to ``summary.json``."""
+        summary = {
+            "config": self.spec.to_dict(),
+            "grids_are_package_defaults": self.spec.grid_is_default(),
+            "outputs": self.names,
+            **fields,
+        }
+        write_json(os.path.join(self.out_dir, "summary.json"), summary)
+        return summary
 
 
 def kernel_spectrum(kernel: Kernel, epsilon: float, like: Spectrum) -> Spectrum:
@@ -171,9 +191,7 @@ def spectral_peak_to_floor(
 
 def run_fig1(spec: ExperimentSpec, out_dir: str) -> dict:
     """Polynomial smoothing round trip, coefficient space and sampled."""
-    if spec.experiment != "fig1":
-        raise ParameterError(f"spec is for {spec.experiment!r}, expected 'fig1'")
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Outputs(spec, "fig1", out_dir)
     kernel = spec.kernel()
     p = taylor_sin_mix(spec.taylor_degree)
     op = ConvOperator(kernel, spec.epsilon, max_degree=max(spec.taylor_degree, p.degree()))
@@ -186,16 +204,10 @@ def run_fig1(spec: ExperimentSpec, out_dir: str) -> dict:
 
     ts = np.linspace(spec.t0, spec.t1, spec.n_samples)
     curves = [p(ts), q(ts), r(ts)]
-    write_columns_csv(
-        os.path.join(out_dir, "fig1_curves.csv"),
-        ["t", "original", "convolved", "inverted"],
-        [ts, *curves],
-    )
-    write_columns_csv(
-        os.path.join(out_dir, "fig1_error.csv"),
-        ["t", "abs_error"],
-        [ts, np.abs(curves[2] - curves[0])],
-    )
+    write_columns_csv(out("fig1_curves.csv"), ["t", "original", "convolved", "inverted"],
+                      [ts, *curves])
+    write_columns_csv(out("fig1_error.csv"), ["t", "abs_error"],
+                      [ts, np.abs(curves[2] - curves[0])])
 
     # sampled route: discrete convolution, then the same alternating series
     # realised on samples (depth = floor(degree / 2))
@@ -209,99 +221,66 @@ def run_fig1(spec: ExperimentSpec, out_dir: str) -> dict:
     recon = rep.reconstructed
     abs_err = np.abs(recon.values - sampled.values)
     mask = sampled.interior_mask(spec.edge_margin)
-    write_columns_csv(
-        os.path.join(out_dir, "fig1_sampled.csv"),
-        ["t", "original", "convolved", "inverted"],
-        [sampled.times, sampled.values, smoothed.values, recon.values],
-    )
-    write_columns_csv(
-        os.path.join(out_dir, "fig1_sampled_error.csv"),
-        ["t", "abs_error"],
-        [sampled.times, abs_err],
-    )
-    _write_summary(os.path.join(out_dir, "fig1_coefficients.json"), {
+    write_columns_csv(out("fig1_sampled.csv"), ["t", "original", "convolved", "inverted"],
+                      [sampled.times, sampled.values, smoothed.values, recon.values])
+    write_columns_csv(out("fig1_sampled_error.csv"), ["t", "abs_error"],
+                      [sampled.times, abs_err])
+    write_json(out("fig1_coefficients.json"), {
         "original": p.coeffs.tolist(),
         "convolved": q.coeffs.tolist(),
         "inverted": r.coeffs.tolist(),
     })
-
-    summary = {
-        "config": spec.to_dict(),
-        "grids_are_package_defaults": spec.grid_is_default(),
+    return out.summary({
         "coefficient_roundtrip_rel_error": coeff_err,
         "sampled_interior_rel_l2": rep.interior_rel_l2,
         "sampled_interior_max_abs_error": float(abs_err[mask].max()),
         "sampled_edge_max_abs_error": float(abs_err[~mask].max()) if (~mask).any() else 0.0,
         "sampled_series_depth": depth,
-        "outputs": [
-            "fig1_curves.csv", "fig1_error.csv", "fig1_sampled.csv",
-            "fig1_sampled_error.csv", "fig1_coefficients.json",
-        ],
-    }
-    _write_summary(os.path.join(out_dir, "summary.json"), summary)
-    return summary
+    })
 
 
 # -- fig2 ---------------------------------------------------------------------
 
 def run_fig2(spec: ExperimentSpec, out_dir: str) -> dict:
     """Noiseless pipeline: sample, smooth, invert, emit signals and spectra."""
-    if spec.experiment != "fig2":
-        raise ParameterError(f"spec is for {spec.experiment!r}, expected 'fig2'")
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Outputs(spec, "fig2", out_dir)
     kernel, f, smoothed = _smoothed_sin_mix(spec)
     cfg = DeconvConfig(kernel, spec.epsilon, spec.order, edge_margin=spec.edge_margin)
     rep = inverse_operator(cfg, smoothed, reference=f)
     recon = rep.reconstructed
 
-    write_columns_csv(
-        os.path.join(out_dir, "fig2_signals.csv"),
-        ["t", "original", "convolved", "reconstructed"],
-        [f.times, f.values, smoothed.values, recon.values],
-    )
+    write_columns_csv(out("fig2_signals.csv"), ["t", "original", "convolved", "reconstructed"],
+                      [f.times, f.values, smoothed.values, recon.values])
     spec_f = dft(f)
-    spectrum_to_csv(spec_f, os.path.join(out_dir, "fig2_spectrum_original.csv"))
-    spectrum_to_csv(dft(smoothed), os.path.join(out_dir, "fig2_spectrum_convolved.csv"))
+    spectrum_to_csv(spec_f, out("fig2_spectrum_original.csv"))
+    spectrum_to_csv(dft(smoothed), out("fig2_spectrum_convolved.csv"))
     spec_recon = dft(recon)
-    spectrum_to_csv(spec_recon, os.path.join(out_dir, "fig2_spectrum_reconstructed.csv"))
+    spectrum_to_csv(spec_recon, out("fig2_spectrum_reconstructed.csv"))
     spectrum_to_csv(kernel_spectrum(kernel, spec.epsilon, spec_f),
-                    os.path.join(out_dir, "fig2_spectrum_kernel.csv"))
+                    out("fig2_spectrum_kernel.csv"))
 
-    factors = {
-        str(w): float(spectral_factor(cfg, w / (2.0 * math.pi)))
-        for w in SIN_MIX_ANGULAR_FREQS
-    }
-    peaks = {
-        str(w): spectral_peak_to_floor(spec_recon, w) for w in SIN_MIX_ANGULAR_FREQS
-    }
-    summary = {
-        "config": spec.to_dict(),
-        "grids_are_package_defaults": spec.grid_is_default(),
+    return out.summary({
         "interior_rel_l2": rep.interior_rel_l2,
         "residual_norm_first": float(rep.residual_norms[0]),
         "residual_norm_last": float(rep.residual_norms[-1]),
-        "spectral_factor_at_tones": factors,
-        "reconstruction_peaks": peaks,
+        "spectral_factor_at_tones": {
+            str(w): float(spectral_factor(cfg, w / (2.0 * math.pi)))
+            for w in SIN_MIX_ANGULAR_FREQS
+        },
+        "reconstruction_peaks": {
+            str(w): spectral_peak_to_floor(spec_recon, w) for w in SIN_MIX_ANGULAR_FREQS
+        },
         "warnings": rep.warnings,
-        "outputs": [
-            "fig2_signals.csv", "fig2_spectrum_original.csv",
-            "fig2_spectrum_convolved.csv", "fig2_spectrum_reconstructed.csv",
-            "fig2_spectrum_kernel.csv",
-        ],
-    }
-    _write_summary(os.path.join(out_dir, "summary.json"), summary)
-    return summary
+    })
 
 
 # -- fig3 ---------------------------------------------------------------------
 
 def run_fig3(spec: ExperimentSpec, out_dir: str) -> dict:
     """Noisy pipeline: smooth, add seeded noise, invert, low-pass filter."""
-    if spec.experiment != "fig3":
-        raise ParameterError(f"spec is for {spec.experiment!r}, expected 'fig3'")
     if spec.noise_variance < 0:
         raise ParameterError(f"noise variance must be >= 0, got {spec.noise_variance}")
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Outputs(spec, "fig3", out_dir)
     kernel, f, smoothed = _smoothed_sin_mix(spec)
     rng = np.random.default_rng(spec.noise_seed)
     noise = rng.normal(0.0, math.sqrt(spec.noise_variance), f.n) if spec.noise_variance > 0 \
@@ -316,45 +295,31 @@ def run_fig3(spec: ExperimentSpec, out_dir: str) -> dict:
     mask = f.interior_mask(spec.edge_margin)
     noise_power = float(np.mean(noise[mask] ** 2))
     signal_power = float(np.mean(smoothed.values[mask] ** 2))
-    snr = signal_power / noise_power if noise_power > 0 else math.inf
 
     write_columns_csv(
-        os.path.join(out_dir, "fig3_signals.csv"),
+        out("fig3_signals.csv"),
         ["t", "original", "convolved", "noisy", "reconstructed", "filtered"],
         [f.times, f.values, smoothed.values, noisy.values, recon.values, filtered.values],
     )
-    spec_f = dft(f)
-    spectrum_to_csv(spec_f, os.path.join(out_dir, "fig3_spectrum_original.csv"))
-    spectrum_to_csv(dft(noisy), os.path.join(out_dir, "fig3_spectrum_noisy.csv"))
-    spectrum_to_csv(rep.spectra["reconstructed"],
-                    os.path.join(out_dir, "fig3_spectrum_reconstructed.csv"))
-    spectrum_to_csv(rep.spectra["filtered"],
-                    os.path.join(out_dir, "fig3_spectrum_filtered.csv"))
+    spectrum_to_csv(dft(f), out("fig3_spectrum_original.csv"))
+    spectrum_to_csv(dft(noisy), out("fig3_spectrum_noisy.csv"))
+    spectrum_to_csv(rep.spectra["reconstructed"], out("fig3_spectrum_reconstructed.csv"))
+    spectrum_to_csv(rep.spectra["filtered"], out("fig3_spectrum_filtered.csv"))
     filt_sig = GridSignal(-spec.filter_half_width, f.dt,
                           filter_taps.weights / f.dt)  # density view of the taps
-    spectrum_to_csv(dft(filt_sig), os.path.join(out_dir, "fig3_spectrum_filter.csv"))
+    spectrum_to_csv(dft(filt_sig), out("fig3_spectrum_filter.csv"))
 
-    peaks_filtered = {
-        str(w): spectral_peak_to_floor(rep.spectra["filtered"], w)
-        for w in SIN_MIX_ANGULAR_FREQS
-    }
-    summary = {
-        "config": spec.to_dict(),
-        "grids_are_package_defaults": spec.grid_is_default(),
-        "snr_interior_power_ratio": snr,
+    return out.summary({
+        "snr_interior_power_ratio": signal_power / noise_power if noise_power > 0 else math.inf,
         "snr_formula": "mean(smoothed^2) / mean(noise^2) over the interior mask",
         "interior_rel_l2_unfiltered": rep.interior_rel_l2,
         "interior_rel_l2_filtered": rep.filtered_interior_rel_l2,
-        "filtered_peaks": peaks_filtered,
+        "filtered_peaks": {
+            str(w): spectral_peak_to_floor(rep.spectra["filtered"], w)
+            for w in SIN_MIX_ANGULAR_FREQS
+        },
         "warnings": rep.warnings,
-        "outputs": [
-            "fig3_signals.csv", "fig3_spectrum_original.csv", "fig3_spectrum_noisy.csv",
-            "fig3_spectrum_reconstructed.csv", "fig3_spectrum_filtered.csv",
-            "fig3_spectrum_filter.csv",
-        ],
-    }
-    _write_summary(os.path.join(out_dir, "summary.json"), summary)
-    return summary
+    })
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:

@@ -100,7 +100,7 @@ class Kernel:
         """c_m = integral x^m phi(x) dx over the effective support.
 
         Odd moments of even kernels are 0 by symmetry and are returned
-        without quadrature.
+        without quadrature; a moment past float64 raises ParameterError.
         """
         if m < 0 or int(m) != m:
             raise ParameterError(f"moment order must be a nonnegative integer, got {m}")
@@ -108,21 +108,21 @@ class Kernel:
         if self.parity == "even" and m % 2 == 1:
             return 0.0
         if m not in self._moment_cache:
-            self._moment_cache[m] = self._compute_moment(m)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                val = self._compute_moment(m)
+            if not math.isfinite(val):  # a ParameterError, rather than an inf or nan
+                raise ParameterError(f"moment c_{m} of the {self.family} kernel overflows float64")
+            self._moment_cache[m] = val
         return self._moment_cache[m]
 
     def _compute_moment(self, m: int) -> float:
         r = self.support_radius
         try:
             math.pow(r, m)  # x^m peaks at the support's edge
-        except OverflowError:
-            # a ParameterError, rather than an inf or nan from the rule
-            raise self._moment_overflow(m) from None
+        except OverflowError:  # x^m phi(x) need not: add the logarithms instead
+            return integrate(lambda x: np.sign(x) ** m * np.exp(
+                m * np.log(np.abs(x)) + np.log(self.density(x))), -r, r)
         return integrate(lambda x: x**m * self.density(x), -r, r)
-
-    def _moment_overflow(self, m: int) -> ParameterError:
-        return ParameterError(f"moment c_{m} of the {self.family} kernel: its "
-                              f"integrand x^{m} phi(x) overflows float64")
 
     def scaled_moment(self, epsilon: float, m: int) -> float:
         """integral x^m phi_eps(x) dx = c_m eps^m (0 for odd m, even kernels)."""
@@ -326,11 +326,7 @@ class TabulatedKernel(Kernel):
         return np.interp(x, self._x, self._v, left=0.0, right=0.0)
 
     def _compute_moment(self, m: int) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = float(np.trapezoid(self._x**m * self._v, self._x))
-        if not math.isfinite(val):
-            raise self._moment_overflow(m)
-        return val
+        return float(np.trapezoid(self._x**m * self._v, self._x))
 
     def fourier_grid(self, epsilon: float, xis: np.ndarray) -> np.ndarray:
         if self.parity != "even":

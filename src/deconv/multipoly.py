@@ -105,7 +105,12 @@ class MultiPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "MultiPolynomial":
-        dim, terms = terms_from_json(json.loads(text))
+        return cls.from_data(json.loads(text))
+
+    @classmethod
+    def from_data(cls, data) -> "MultiPolynomial":
+        """From a decoded ``{dim, terms}`` JSON object."""
+        dim, terms = terms_from_json(data)
         return cls(dim, dict(terms))
 
 

@@ -91,11 +91,8 @@ class Polynomial1D:
     # -- algebra ------------------------------------------------------------
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        acc = np.zeros_like(xs)
-        for c in self.coeffs[::-1]:
-            acc = acc * xs + c
-        return float(acc) if acc.ndim == 0 else acc
+        out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
+        return float(out) if out.ndim == 0 else out
 
     def __add__(self, other: "Polynomial1D") -> "Polynomial1D":
         n = max(self.coeffs.size, other.coeffs.size)
@@ -120,7 +117,11 @@ class Polynomial1D:
 
     @classmethod
     def from_json(cls, text: str) -> "Polynomial1D":
-        data = json.loads(text)
+        return cls.from_data(json.loads(text))
+
+    @classmethod
+    def from_data(cls, data) -> "Polynomial1D":
+        """From decoded JSON: ``[a0, a1, ...]`` or a ``{dim: 1, terms}`` object."""
         if isinstance(data, dict):  # multi-index form with dim 1
             if data.get("dim") != 1:
                 raise InputError("expected a 1-D polynomial")
@@ -221,7 +222,10 @@ class ConvOperator:
         for j in range(n + 1):
             for k in range(1, j + 1):
                 if signed[k] != 0.0:
-                    M[j - k, j] = math.comb(j, k) * signed[k] * eps_pow[k]
+                    entry = math.comb(j, k) * signed[k] * eps_pow[k]
+                    if not math.isfinite(entry):  # C(j, k) c_k alone may pass float64
+                        entry = math.comb(j, k) * (signed[k] * eps_pow[k])
+                    M[j - k, j] = entry
         return M
 
     # -- forward -------------------------------------------------------------

@@ -7,13 +7,19 @@ the same (t0, dt, N) as the input.  Long kernels compute the same crop as a
 circular convolution at a 5-smooth length (``TapsConvolver``).  Samples
 within a half-width of either boundary are edge-distorted by construction;
 error metrics exclude them via an interior mask.
+
+Every CSV table the package writes goes through :func:`write_columns_csv`,
+and every JSON report (summaries, scans) through :func:`write_json`.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -276,10 +282,27 @@ def idft(sp: Spectrum, t0: float) -> GridSignal:
     return GridSignal(t0, dt, vals.real)
 
 
-# -- CSV interfaces ----------------------------------------------------------
+# -- output files --------------------------------------------------------------
 
 CSV_BLOCK_ROWS = 4096  # rows formatted per call, which bounds the text held at once
 _SIGN_BIT = np.int64(np.iinfo(np.int64).min)
+
+
+@contextmanager
+def open_output(path: str | None):
+    """The text file at ``path``, or stdout for None or ``-``."""
+    if path is None or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+
+
+def write_json(path: str | None, obj) -> None:
+    """Write a JSON value with sorted keys, indent 2 and one trailing newline
+    to ``path``, or to stdout for None or ``-``."""
+    with open_output(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _table(columns) -> np.ndarray:
@@ -296,18 +319,24 @@ def _format_rows(block: np.ndarray) -> str:
     return (",".join(["%.17g"] * width) + "\r\n") * rows % tuple(block.ravel().tolist())
 
 
-def write_columns_csv(path: str, header: list[str], columns) -> None:
-    """Write equal-length columns as CSV: every value as ``%.17g``, which
-    round-trips float64 exactly, and CRLF line ends as ``csv.writer`` writes.
+def _row_blocks(table: np.ndarray):
+    """The text of each block of ``CSV_BLOCK_ROWS`` rows, one ``%`` operation each."""
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        yield _format_rows(table[start : start + CSV_BLOCK_ROWS])
 
-    Columns of different lengths raise ``ParameterError``.  Each block of
-    ``CSV_BLOCK_ROWS`` rows is formatted by one ``%`` operation.
+
+def write_columns_csv(path: str | None, header: list[str], columns, rows=_row_blocks) -> None:
+    """Write equal-length columns as CSV to ``path``, or to stdout for None or
+    ``-``: every value as ``%.17g``, which round-trips float64 exactly, and
+    CRLF line ends as ``csv.writer`` writes.
+
+    Columns of different lengths raise ``ParameterError`` before anything is
+    written.  ``rows(table)`` yields the text of the table's rows in order.
     """
     table = _table(columns)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            fh.write(_format_rows(table[start : start + CSV_BLOCK_ROWS]))
+        fh.writelines(rows(table))
 
 
 def signal_to_csv(s: GridSignal, path: str) -> None:
@@ -398,38 +427,44 @@ def _mirrored_rows(fields: list[str], rows: np.ndarray, same: np.ndarray,
     return "\r\n".join(map(",".join, zip(*cols))) + "\r\n"
 
 
-def spectrum_to_csv(sp: Spectrum, path: str) -> None:
-    """Write ``freq,re,im,abs`` rows, DC first, every value as ``%.17g``.
+def _spectrum_rows(table: np.ndarray):
+    """The text of a spectrum table's rows, DC first.
 
     Rows 0..N/2 are formatted.  Row N - k is built from the strings of
     row k, column by column, wherever the column's upper rows all mirror
-    theirs (see ``_mirrors``); a real signal's spectrum from :func:`dft`
-    mirrors in all four columns.  A column that does not is formatted in
-    full.  The bytes are those of a row-by-row ``%.17g`` write either way;
-    the upper rows' text is held until the lower half is written.
+    theirs (see ``_mirrors``); a column that does not is formatted in full.
+    The upper rows' text is held until the lower half is written.
     """
-    n = sp.n
-    # Python's abs(complex), not np.abs: the two differ in the last ulp
-    try:
-        mags = np.fromiter(map(abs, sp.bins.tolist()), float, n)
-    except OverflowError:
-        raise ParameterError("the modulus of a finite spectrum bin overflows float64") from None
-    table = _table([sp.frequencies, sp.bins.real, sp.bins.imag, mags])
+    n = len(table)
     half = n // 2
     same, negated = _mirrors(table[half + 1 :], table[n - half - 1 : 0 : -1])
     upper = []  # text of the upper rows mirroring each lower block
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("freq,re,im,abs\r\n")
-        for start in range(0, half + 1, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, half + 1)
-            text = _format_rows(table[start:stop])
-            fh.write(text)
-            lo, hi = max(start, 1), min(stop, n - half)  # mirrors of rows n-hi+1..n-lo
-            if lo < hi:
-                fields = text.replace("\r\n", ",").split(",")
-                upper.append(_mirrored_rows(fields[4 * (lo - start) : 4 * (hi - start)],
-                                            table[n - hi + 1 : n - lo + 1], same, negated))
-        fh.writelines(reversed(upper))
+    for start in range(0, half + 1, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, half + 1)
+        text = _format_rows(table[start:stop])
+        yield text
+        lo, hi = max(start, 1), min(stop, n - half)  # mirrors of rows n-hi+1..n-lo
+        if lo < hi:
+            fields = text.replace("\r\n", ",").split(",")
+            upper.append(_mirrored_rows(fields[4 * (lo - start) : 4 * (hi - start)],
+                                        table[n - hi + 1 : n - lo + 1], same, negated))
+    yield from reversed(upper)
+
+
+def spectrum_to_csv(sp: Spectrum, path: str) -> None:
+    """Write ``freq,re,im,abs`` rows, DC first, every value as ``%.17g``.
+
+    A real signal's spectrum from :func:`dft` mirrors in all four columns,
+    so its upper half reuses the lower half's strings (``_spectrum_rows``);
+    the bytes are those of a row-by-row ``%.17g`` write either way.
+    """
+    # Python's abs(complex), not np.abs: the two differ in the last ulp
+    try:
+        mags = np.fromiter(map(abs, sp.bins.tolist()), float, sp.n)
+    except OverflowError:
+        raise ParameterError("the modulus of a finite spectrum bin overflows float64") from None
+    write_columns_csv(path, ["freq", "re", "im", "abs"],
+                      [sp.frequencies, sp.bins.real, sp.bins.imag, mags], _spectrum_rows)
 
 
 def l2_norm(values: np.ndarray) -> float:

@@ -281,10 +281,12 @@ class TestCli:
     @pytest.mark.parametrize("alpha, epsilon", [
         ([134, 134], 0.5),
         ([267, 1], 0.1),
-    ], ids=["x134y134-roundtrip", "x267y-roundtrip"])
+        ([144, 144], 0.5),
+        ([287, 1], 0.1),
+    ], ids=["x134y134-roundtrip", "x267y-roundtrip", "x144y144-roundtrip", "x287y-roundtrip"])
     def test_gaussian_degree_limit_is_per_variable(self, tmp_path, alpha, epsilon):
-        # total degree 268 without any exponent that needs the moment c_268,
-        # whose quadrature overflows float64
+        # total degree 288 or more without any exponent that needs the moment
+        # c_288, which overflows float64
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"dim": 2, "terms": [{"alpha": alpha, "coeff": 1}]}))
         for action in ("conv", "deconv"):
@@ -442,6 +444,16 @@ class TestCli:
         assert summary["config"]["taylor_degree"] == 1
         assert summary["coefficient_roundtrip_rel_error"] == 0.0
 
+    def test_gaussian_conv_past_c266(self, tmp_path, capsys):
+        # x^286 needs every Gaussian moment up to c_286, about 1e306
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([0.0] * 286 + [1.0]))
+        assert cli_main(["poly", "conv", "--family", "gaussian", "--epsilon", "0.5",
+                         "--in", str(path)]) == 0
+        coeffs = json.loads(capsys.readouterr().out)
+        assert len(coeffs) == 287 and coeffs[-1] == 1.0
+        assert all(math.isfinite(c) for c in coeffs)
+
     def test_numeric_error_exit_code_and_json(self, tmp_path, capsys):
         p_path = str(tmp_path / "p.json")
         open(p_path, "w").write("[1.0, 2.0]")
@@ -508,7 +520,7 @@ class TestCli:
         (["poly", "deconv", "--family", "bump", "--epsilon", "0.5", "--in", "{path}"],
          [0.0] * 300 + [1.0], "the result"),
         (["poly", "deconv", "--family", "gaussian", "--epsilon", "0.5", "--in", "{path}"],
-         [0.0] * 300 + [1.0], "moment c_268"),
+         [0.0] * 300 + [1.0], "moment c_288"),
         (["poly", "conv", "--family", "bump", "--epsilon", "100", "--in", "{path}"],
          [0.0] * 300 + [1.0], "the smoothing map"),
         (["poly", "deconv", "--epsilon", "0.8", "--in", "{path}"],
@@ -562,6 +574,14 @@ class TestCli:
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 4  # header + m = 0, 1, 2
 
+    def test_config_value_may_start_with_a_dash(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"grid": "-6:6:512"}')
+        assert cli_main(["experiment", "fig2", "--out", str(tmp_path / "d"),
+                         "--config", str(cfg)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["t0"], config["n_samples"]) == (-6.0, 512)
+
     def test_config_null_keeps_the_default(self, tmp_path, monkeypatch):
         # a JSON null is no value: it must not be read as the path "None"
         monkeypatch.chdir(tmp_path)
@@ -575,6 +595,61 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:  # a required flag stays missing
             cli_main(run)
         assert exc.value.code == 2
+
+
+# -- output formats ---------------------------------------------------------------
+
+def _run_on_sin_mix(tmp_path, argv) -> dict:
+    """Run the CLI with "{in}" a sampled sin mix and "{out}", "{csv}", "{dir}" in tmp_path."""
+    paths = {key: str(tmp_path / name) for key, name in
+             (("{in}", "in.csv"), ("{out}", "out"), ("{csv}", "out.csv"), ("{dir}", "d"))}
+    signals.signal_to_csv(sample_function(sin_mix, -6.0, 6.0, 512), paths["{in}"])
+    assert cli_main([paths.get(a, a) for a in argv]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["kernel", "moments", "--max-m", "6", "--out", "{out}"], "m,moment"),
+    (["kernel", "moments", "--family", "bump", "--max-m", "6"], "m,moment"),
+    (["kernel", "fourier", "--n-grid", "9", "--out", "{out}"], "xi,value"),
+    (["kernel", "fourier", "--family", "bump", "--n-grid", "9"], "xi,value"),
+    (["signal", "conv", "--epsilon", "0.3", "--in", "{in}", "--out", "{out}"], "t,value"),
+    (["signal", "dft", "--in", "{in}", "--out", "{out}"], "freq,re,im,abs"),
+    (["deconv", "run", "--epsilon", "0.3", "--order", "3", "--in", "{in}", "--out", "{out}"],
+     "t,value"),
+], ids=["kernel-moments", "kernel-moments-stdout", "kernel-fourier", "kernel-fourier-stdout",
+        "signal-conv", "signal-dft", "deconv-run"])
+def test_every_csv_is_a_header_and_crlf_rows_of_17g_fields(tmp_path, capsys, argv, header):
+    paths = _run_on_sin_mix(tmp_path, argv)
+    stdout = capsys.readouterr().out
+    text = stdout if "{out}" not in argv else open(paths["{out}"], newline="").read()
+    head, *rows, last = text.split("\r\n")
+    assert (head, last) == (header, "") and rows
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(header.split(","))
+        assert fields == ["%.17g" % float(f) for f in fields]
+
+
+@pytest.mark.parametrize("argv, files, on_stdout", [
+    (["kernel", "check", "--n-grid", "11"], [], True),
+    (["kernel", "check", "--family", "bump", "--n-grid", "11", "--out", "{out}"], ["out"], False),
+    (["deconv", "run", "--epsilon", "0.3", "--order", "3", "--in", "{in}", "--out", "{csv}",
+      "--report", "{out}", "--reference", "{in}"], ["out"], False),
+    (["deconv", "run", "--epsilon", "0.3", "--order", "3", "--in", "{in}", "--out", "{csv}",
+      "--report", "-"], [], True),
+    (["experiment", "fig1", "--degree", "5", "--grid=-2:2:201", "--out", "{dir}"],
+     ["d/summary.json", "d/fig1_coefficients.json"], True),
+], ids=["kernel-check", "kernel-check-file", "deconv-run-report", "deconv-run-report-stdout",
+        "experiment"])
+def test_every_json_object_is_sorted_indented_with_one_newline(tmp_path, capsys, argv, files,
+                                                                on_stdout):
+    _run_on_sin_mix(tmp_path, argv)
+    stdout = capsys.readouterr().out
+    assert bool(stdout) == on_stdout
+    texts = [open(tmp_path / name, newline="").read() for name in files] + [stdout] * on_stdout
+    for text in texts:
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 # -- the CLI contract on generated input files ----------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deconv.errors import InputError, ParameterError
+from deconv.experiments import taylor_sin_mix
 from deconv.kernels import TabulatedKernel
 from deconv.polynomials import MAX_DEGREE, ConvOperator, Polynomial1D
 from oracles import adaptive_integrate, coefficients_close, series_inverse
@@ -44,6 +45,22 @@ class TestPolynomial1D:
     def test_evaluate(self):
         p = Polynomial1D([1.0, 0.0, 2.0])  # 1 + 2x^2
         assert p(3.0) == 19.0
+
+    def test_evaluate_is_horner_bit_for_bit(self, rng):
+        # reference: the Horner loop that polyval replaced, on fig1's
+        # polynomial and grid and on random polynomials
+        def horner(coeffs, xs):
+            acc = np.zeros_like(xs)
+            for c in coeffs[::-1]:
+                acc = acc * xs + c
+            return acc
+
+        xs = np.linspace(-2.0, 2.0, 2001)
+        polys = [taylor_sin_mix(50)] + [Polynomial1D(rng.uniform(-1, 1, n))
+                                        for n in rng.integers(1, 60, 200)]
+        for p in polys:
+            assert np.array_equal(p(xs), horner(p.coeffs, xs))
+        assert type(polys[0](0.5)) is float and polys[0](0.5) == horner(polys[0].coeffs, 0.5)
 
     def test_immutable(self):
         p = Polynomial1D([1.0])
